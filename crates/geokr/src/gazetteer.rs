@@ -8,6 +8,9 @@ use stir_geoindex::{BBox, Point, Polygon, RTree};
 use crate::data;
 use crate::district::{District, DistrictId, Province};
 
+/// Length of every district's precomputed [`Gazetteer::nearby_ring`].
+pub const NEARBY_RING_LEN: usize = 12;
+
 /// Bounding box generously covering South Korea; points outside are rejected
 /// by the reverse geocoder before any index lookup.
 pub const KOREA_BBOX: BBox = BBox {
@@ -40,6 +43,9 @@ pub struct Gazetteer {
     by_name_ko: HashMap<String, Vec<DistrictId>>,
     /// centroid index; item order == district id order
     centroid_tree: RTree<Point>,
+    /// every district's `NEARBY_RING_LEN` nearest districts, flattened in
+    /// id order
+    rings: Vec<DistrictId>,
     /// cumulative population weights for weighted sampling
     cumulative_pop: Vec<f64>,
     total_pop: f64,
@@ -87,15 +93,25 @@ impl Gazetteer {
         }
 
         let centroid_tree = RTree::bulk_load(districts.iter().map(|d| d.centroid).collect());
-        Gazetteer {
+        let mut gazetteer = Gazetteer {
             districts,
             footprints,
             by_name_en,
             by_name_ko,
             centroid_tree,
+            rings: Vec::new(),
             cumulative_pop,
             total_pop,
-        }
+        };
+        // The same kNN query `nearest_districts` answers, run once per
+        // district here so ties break identically and callers get a slice.
+        gazetteer.rings = gazetteer
+            .districts
+            .iter()
+            .flat_map(|d| gazetteer.nearest_districts(d.centroid, NEARBY_RING_LEN))
+            .collect();
+        debug_assert_eq!(gazetteer.rings.len(), gazetteer.len() * NEARBY_RING_LEN);
+        gazetteer
     }
 
     /// Number of districts (229 for the 2011 table).
@@ -180,6 +196,15 @@ impl Gazetteer {
             .into_iter()
             .map(|(idx, _)| self.districts[idx].id)
             .collect()
+    }
+
+    /// The [`NEARBY_RING_LEN`] districts whose centroids are nearest to
+    /// district `id`'s centroid, nearest-first (`id` itself included):
+    /// exactly `nearest_districts(district(id).centroid, NEARBY_RING_LEN)`,
+    /// precomputed at load.
+    pub fn nearby_ring(&self, id: DistrictId) -> &[DistrictId] {
+        let start = id.0 as usize * NEARBY_RING_LEN;
+        &self.rings[start..start + NEARBY_RING_LEN]
     }
 
     /// Districts adjacent to `id`: footprints whose circles overlap (with a

@@ -49,7 +49,7 @@ pub mod yahoo;
 pub use district::{District, DistrictId, DistrictKind, Province};
 pub use error::GeocodeError;
 pub use forward::{ForwardGeocoder, ForwardResult};
-pub use gazetteer::Gazetteer;
+pub use gazetteer::{Gazetteer, NEARBY_RING_LEN};
 pub use location::LocationRecord;
 pub use reverse::{ReverseGeocoder, ReverseStats};
 pub use service::{

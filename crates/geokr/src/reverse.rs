@@ -13,7 +13,10 @@
 //! traffic counters are plain atomics, so a lookup never takes a second
 //! lock for bookkeeping and the counters stay exact under any interleaving
 //! (each lookup increments `lookups` exactly once and exactly one of
-//! `resolved`/`misses`).
+//! `resolved`/`misses`). `cache_hits` is exact too: a lookup counts as a
+//! miss only when its insert is the one that fills the cell, so while no
+//! shard overflows, `lookups − cache_hits` is the number of distinct cells
+//! at any thread count.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,16 +199,15 @@ impl<'g> ReverseGeocoder<'g> {
         // Miss: resolve outside the lock so a slow polygon walk never
         // blocks other lookups that hash to the same shard. Two threads
         // racing on the same fresh cell both resolve and insert the same
-        // value — idempotent, and cheaper than holding the lock.
+        // value — idempotent, and cheaper than holding the lock. The one
+        // whose insert finds the cell already filled counts a hit, so the
+        // hit count does not depend on who won the race.
         let resolved = self.gazetteer.resolve_point(p);
-        {
-            let mut cache = shard.lock();
-            if cache.len() >= self.shard_capacity {
-                cache.clear();
-            }
-            cache.insert(key, resolved);
-        }
+        let raced = self.fill(shard, key, resolved);
         self.lookups.fetch_add(1, Ordering::Relaxed);
+        if raced {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
         self.count_outcome(resolved);
         resolved
     }
@@ -255,13 +257,12 @@ impl<'g> ReverseGeocoder<'g> {
                     }
                     None => {
                         // Same discipline as `resolve`: the polygon walk
-                        // runs outside the shard lock.
+                        // runs outside the shard lock, and losing the fill
+                        // race counts a hit.
                         let resolved = self.gazetteer.resolve_point(p);
-                        let mut cache = shard.lock();
-                        if cache.len() >= self.shard_capacity {
-                            cache.clear();
+                        if self.fill(shard, key, resolved) {
+                            hits += 1;
                         }
-                        cache.insert(key, resolved);
                         resolved
                     }
                 };
@@ -282,6 +283,16 @@ impl<'g> ReverseGeocoder<'g> {
             self.resolved.fetch_add(res, Ordering::Relaxed);
             self.misses.fetch_add(miss, Ordering::Relaxed);
         }
+    }
+
+    /// Caches `resolved` for `key`, clearing a full shard first. Returns
+    /// true when another lookup filled the cell since this one missed.
+    fn fill(&self, shard: &Shard, key: Key, resolved: Option<DistrictId>) -> bool {
+        let mut cache = shard.lock();
+        if cache.len() >= self.shard_capacity {
+            cache.clear();
+        }
+        cache.insert(key, resolved).is_some()
     }
 
     fn count_outcome(&self, outcome: Option<DistrictId>) {
@@ -312,9 +323,10 @@ impl<'g> ReverseGeocoder<'g> {
     /// Snapshot of the traffic counters.
     ///
     /// After all concurrent lookups have finished (e.g. past a thread
-    /// join), the snapshot is exact: `lookups == cache_hits + gazetteer
-    /// calls` and `lookups == resolved + misses`, guarantees the old
-    /// two-mutex design could not make across counters.
+    /// join), the snapshot is exact: `lookups == resolved + misses`, and
+    /// `lookups − cache_hits` is the number of cell fills (the distinct
+    /// cells looked up, unless a full shard was cleared), guarantees the
+    /// old two-mutex design could not make across counters.
     pub fn stats(&self) -> ReverseStats {
         ReverseStats {
             lookups: self.lookups.load(Ordering::Relaxed),

@@ -39,6 +39,21 @@ fn mixed_points() -> Vec<Point> {
     pts
 }
 
+/// Distinct cache cells among `points`, at the geocoder's ~50 m
+/// quantization (2000 cells per degree, floored).
+fn distinct_cells(points: &[Point]) -> u64 {
+    let cells: std::collections::HashSet<(i32, i32)> = points
+        .iter()
+        .map(|p| {
+            (
+                (p.lat * 2000.0).floor() as i32,
+                (p.lon * 2000.0).floor() as i32,
+            )
+        })
+        .collect();
+    cells.len() as u64
+}
+
 #[test]
 fn eight_threads_agree_with_serial_and_count_exactly() {
     const THREADS: usize = 8;
@@ -79,13 +94,42 @@ fn eight_threads_agree_with_serial_and_count_exactly() {
     let total_calls = (THREADS * points.len()) as u64;
     assert_eq!(s.lookups, total_calls);
     assert_eq!(s.resolved + s.misses, total_calls);
-    // Two hot cells hammered 800 times guarantee a dominant hit ratio even
-    // though first-touch racing makes the exact hit count nondeterministic.
-    assert!(
-        s.cache_hits > total_calls / 2,
-        "hit ratio implausibly low: {s:?}"
-    );
-    assert!(s.cache_hits < total_calls, "some first touch must miss");
+    // Exactly one lookup per distinct cell fills it; every other lookup,
+    // including the losers of a first-touch race, is a hit.
+    assert_eq!(s.cache_hits, total_calls - distinct_cells(&points), "{s:?}");
+}
+
+#[test]
+fn two_threads_racing_on_shared_cells_count_hits_exactly() {
+    let g = gaz();
+    let points = mixed_points();
+    let lats: Vec<f64> = points.iter().map(|p| p.lat).collect();
+    let lons: Vec<f64> = points.iter().map(|p| p.lon).collect();
+    let fills = distinct_cells(&points);
+    // Both threads start together on the same cells in the same order, so
+    // first touches race; one resolves point-at-a-time, the other by
+    // column batches. Repeated on fresh geocoders to vary the interleaving.
+    for _ in 0..20 {
+        let geo = ReverseGeocoder::builder(g).build_reverse();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for &p in &points {
+                    geo.resolve(p);
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for (la, lo) in lats.chunks(32).zip(lons.chunks(32)) {
+                    geo.resolve_cols(la, lo, |_| {});
+                }
+            });
+        });
+        let st = geo.stats();
+        assert_eq!(st.lookups, 2 * points.len() as u64);
+        assert_eq!(st.cache_hits, st.lookups - fills, "{st:?}");
+    }
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Shared experiment context: options, dataset generation, pipeline runs.
 
+use std::sync::OnceLock;
+
 use stir_core::{
     AnalysisResult, BackendChoice, FaultPlan, PipelineBuilder, PipelineInput, ProfileRow,
     RefinementPipeline, TweetRow,
@@ -87,9 +89,10 @@ pub struct Analysed {
     pub result: AnalysisResult,
 }
 
-/// Loads the gazetteer (leaked: experiments are one-shot processes).
+/// The process-wide gazetteer, loaded on first use.
 pub fn gazetteer() -> &'static Gazetteer {
-    Box::leak(Box::new(Gazetteer::load()))
+    static GAZETTEER: OnceLock<Gazetteer> = OnceLock::new();
+    GAZETTEER.get_or_init(Gazetteer::load)
 }
 
 /// The Korean dataset spec at the requested scale.

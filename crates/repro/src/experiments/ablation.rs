@@ -17,8 +17,15 @@ use crate::context::{gazetteer, korean_spec, Options};
 
 /// Runs the ablation.
 pub fn run(opts: &Options) {
+    report(
+        opts,
+        &Dataset::generate(korean_spec(opts), gazetteer(), opts.seed),
+    );
+}
+
+/// Runs the ablation over the generated Korean dataset (shared with `all`).
+pub fn report(opts: &Options, dataset: &Dataset) {
     let g = gazetteer();
-    let dataset = Dataset::generate(korean_spec(opts), g, opts.seed);
     let tables: Vec<(Granularity, GroupTable)> = [Granularity::District, Granularity::City]
         .into_iter()
         .map(|grain| {

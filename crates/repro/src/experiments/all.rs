@@ -1,5 +1,9 @@
-//! `repro all` — every experiment in paper order, sharing one analysed
-//! dataset where possible (the Korean pipeline run is the expensive step).
+//! `repro all` — every experiment in paper order. The Korean dataset is
+//! generated and analysed once, and every experiment over the paper's
+//! Korean spec reports from that one [`Analysed`](crate::context::Analysed)
+//! (the pipeline run is the expensive step). Experiments over other specs
+//! or pipeline configs (Tables I–II, Fig. 3, the Lady Gaga comparison, the
+//! ablation's city grain, the GPS-adoption sweep) still run their own.
 
 use stir_core::GroupTable;
 
@@ -10,15 +14,15 @@ use stir_twitter_sim::{Crawler, TwitterApi};
 
 /// Runs everything.
 pub fn run(opts: &Options) {
+    let g = gazetteer();
+    let analysed = analyse(korean_spec(opts), g, opts);
+
     experiments::table12::run_table1(opts);
     experiments::table12::run_table2(opts);
     experiments::fig3::run(opts);
-    experiments::fig4::run(opts);
+    experiments::fig4::report(&analysed.dataset);
     experiments::fig5::run(opts);
 
-    // One Korean analysis serves funnel, fig6, fig7 and the tweet chart.
-    let g = gazetteer();
-    let analysed = analyse(korean_spec(opts), g, opts);
     let api = TwitterApi::new(&analysed.dataset, g);
     let crawl = Crawler::new(&api).run(analysed.dataset.graph.best_seed(), usize::MAX);
     println!("\n=== E3 — data refinement funnel ===\n");
@@ -39,12 +43,12 @@ pub fn run(opts: &Options) {
     let gaga = GroupTable::compute(&analyse(lady_gaga_spec(opts), g, opts).result.users);
     experiments::compare::print(&table, &gaga);
 
-    experiments::eventloc::run(opts);
-    experiments::ablation::run(opts);
-    experiments::regional::run(opts);
-    experiments::detect::run(opts);
-    experiments::nonegroup::run(opts);
-    experiments::diurnal::run(opts);
-    experiments::sensitivity::run(opts);
-    experiments::stream::run(opts);
+    experiments::eventloc::report(opts, &analysed);
+    experiments::ablation::report(opts, &analysed.dataset);
+    experiments::regional::report(&analysed);
+    experiments::detect::report(opts, &analysed);
+    experiments::nonegroup::report(&analysed);
+    experiments::diurnal::report(&analysed);
+    experiments::sensitivity::report(opts, &analysed);
+    experiments::stream::report(opts, &analysed.dataset);
 }

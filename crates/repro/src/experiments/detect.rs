@@ -9,12 +9,16 @@ use stir::detection_bench::{run_detection_benchmark, uniform_builder};
 use stir::eventdet::{MeanEstimator, ObservationBuilder};
 use stir::geoindex::Point;
 
-use crate::context::{analyse, gazetteer, korean_spec, Options};
+use crate::context::{analyse, gazetteer, korean_spec, Analysed, Options};
 
 /// Runs the experiment.
 pub fn run(opts: &Options) {
+    report(opts, &analyse(korean_spec(opts), gazetteer(), opts));
+}
+
+/// Prints the experiment from the analysed Korean dataset (shared with `all`).
+pub fn report(opts: &Options, analysed: &Analysed) {
     let g = gazetteer();
-    let analysed = analyse(korean_spec(opts), g, opts);
 
     let epicenters: Vec<(Point, u64)> = vec![
         (Point::new(37.50, 127.00), 20_000),

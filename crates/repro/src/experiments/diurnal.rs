@@ -11,12 +11,16 @@ use std::collections::HashMap;
 use stir_core::temporal::per_group_histograms;
 use stir_core::{report, TopKGroup};
 
-use crate::context::{analyse, gazetteer, korean_spec, Options};
+use crate::context::{analyse, gazetteer, korean_spec, Analysed, Options};
 
 /// Runs the experiment.
 pub fn run(opts: &Options) {
+    report(&analyse(korean_spec(opts), gazetteer(), opts));
+}
+
+/// Prints the experiment from the analysed Korean dataset (shared with `all`).
+pub fn report(analysed: &Analysed) {
     let g = gazetteer();
-    let analysed = analyse(korean_spec(opts), g, opts);
     let groups: HashMap<u64, TopKGroup> = analysed
         .result
         .users

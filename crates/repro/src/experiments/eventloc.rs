@@ -20,7 +20,7 @@ use stir_geoindex::Point;
 use stir_textgeo::MentionExtractor;
 use stir_twitter_sim::event::{inject, EventScenario};
 
-use crate::context::{analyse, gazetteer, korean_spec, Options};
+use crate::context::{analyse, gazetteer, korean_spec, Analysed, Options};
 
 /// Epicenters for the trials: dense metro, secondary metro, provincial.
 const EPICENTERS: [(f64, f64, &str); 3] = [
@@ -31,8 +31,12 @@ const EPICENTERS: [(f64, f64, &str); 3] = [
 
 /// Runs the experiment.
 pub fn run(opts: &Options) {
+    report(opts, &analyse(korean_spec(opts), gazetteer(), opts));
+}
+
+/// Prints the experiment from the analysed Korean dataset (shared with `all`).
+pub fn report(opts: &Options, analysed: &Analysed) {
     let g = gazetteer();
-    let analysed = analyse(korean_spec(opts), g, opts);
     let table = GroupTable::compute(&analysed.result.users);
     let weights = ReliabilityWeights::from_cohort(&analysed.result.users, 0.02);
     println!("\n=== E8 — reliability-weighted event location estimation ===\n");

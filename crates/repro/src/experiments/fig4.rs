@@ -18,8 +18,17 @@ use crate::context::{gazetteer, korean_spec, Options};
 
 /// Runs the experiment.
 pub fn run(opts: &Options) {
+    report(&Dataset::generate(
+        korean_spec(opts),
+        gazetteer(),
+        opts.seed,
+    ));
+}
+
+/// Runs the experiment over the generated Korean dataset (shared with
+/// `all`).
+pub fn report(dataset: &Dataset) {
     let g = gazetteer();
-    let dataset = Dataset::generate(korean_spec(opts), g, opts.seed);
     let extractor = MentionExtractor::new(g);
     let reverse = ReverseGeocoder::builder(g).build_reverse();
 

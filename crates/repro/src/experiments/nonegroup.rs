@@ -15,12 +15,16 @@ use stir_core::TopKGroup;
 use stir_geokr::DistrictId;
 use stir_twitter_sim::Archetype;
 
-use crate::context::{analyse, gazetteer, korean_spec, Options};
+use crate::context::{analyse, gazetteer, korean_spec, Analysed, Options};
 
 /// Runs the experiment.
 pub fn run(opts: &Options) {
+    report(&analyse(korean_spec(opts), gazetteer(), opts));
+}
+
+/// Prints the experiment from the analysed Korean dataset (shared with `all`).
+pub fn report(analysed: &Analysed) {
     let g = gazetteer();
-    let analysed = analyse(korean_spec(opts), g, opts);
 
     let resolve = |state: &str, county: &str| -> Option<DistrictId> {
         g.find_by_name_en(county)

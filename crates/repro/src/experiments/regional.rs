@@ -9,12 +9,15 @@
 use stir_core::regional::by_region;
 use stir_geokr::Province;
 
-use crate::context::{analyse, gazetteer, korean_spec, Options};
+use crate::context::{analyse, gazetteer, korean_spec, Analysed, Options};
 
 /// Runs the experiment.
 pub fn run(opts: &Options) {
-    let g = gazetteer();
-    let analysed = analyse(korean_spec(opts), g, opts);
+    report(&analyse(korean_spec(opts), gazetteer(), opts));
+}
+
+/// Prints the experiment from the analysed Korean dataset (shared with `all`).
+pub fn report(analysed: &Analysed) {
     let rows = by_region(&analysed.result.users);
 
     println!("\n=== extension — reliability by profile region ===\n");

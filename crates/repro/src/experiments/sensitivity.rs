@@ -18,17 +18,22 @@ use stir_core::{
 use stir_geokr::ReverseGeocoder;
 use stir_twitter_sim::datasets::{Dataset, DatasetSpec};
 
-use crate::context::{analyse, gazetteer, korean_spec, Options};
+use crate::context::{analyse, gazetteer, korean_spec, Analysed, Options};
 
 /// Runs both sensitivity analyses.
 pub fn run(opts: &Options) {
-    tie_break_sensitivity(opts);
+    report(opts, &analyse(korean_spec(opts), gazetteer(), opts));
+}
+
+/// Runs both sensitivity analyses, the tie-break half over the analysed
+/// Korean dataset (shared with `all`); the GPS sweep generates its own.
+pub fn report(opts: &Options, analysed: &Analysed) {
+    tie_break_sensitivity(analysed);
     gps_adoption_sweep(opts);
 }
 
-fn tie_break_sensitivity(opts: &Options) {
+fn tie_break_sensitivity(analysed: &Analysed) {
     let g = gazetteer();
-    let analysed = analyse(korean_spec(opts), g, opts);
 
     // Rebuild each cohort user's strings (deterministically) so they can be
     // re-grouped under each policy.

@@ -27,14 +27,19 @@ const CHUNK: usize = 4_096;
 
 /// Runs the experiment and prints Fig. 7 from live session state.
 pub fn run(opts: &Options) {
-    let g = gazetteer();
     let spec = korean_spec(opts);
     eprintln!(
         "[{}] generating {} users (seed {}, scale {:.2}) …",
         spec.name, spec.n_users, opts.seed, opts.scale
     );
-    let dataset = Dataset::generate(spec, g, opts.seed);
-    let stream = collect(&dataset, g, &StreamSpec::firehose());
+    report(opts, &Dataset::generate(spec, gazetteer(), opts.seed));
+}
+
+/// Streams the generated Korean dataset (shared with `all`) through the
+/// session and prints Fig. 7 from its live state.
+pub fn report(opts: &Options, dataset: &Dataset) {
+    let g = gazetteer();
+    let stream = collect(dataset, g, &StreamSpec::firehose());
     eprintln!(
         "[stream] firehose delivered {} tweets from {} authors, in {CHUNK}-tweet chunks …",
         stream.tweets.len(),

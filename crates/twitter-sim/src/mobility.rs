@@ -208,8 +208,7 @@ fn pick_nearby<R: Rng>(
     rng: &mut R,
     exclude: &[DistrictId],
 ) -> DistrictId {
-    let center = gazetteer.district(anchor).centroid;
-    let ring = gazetteer.nearest_districts(center, 12);
+    let ring = gazetteer.nearby_ring(anchor);
     for _ in 0..16 {
         let d = ring[rng.gen_range(0..ring.len())];
         if !exclude.contains(&d) {

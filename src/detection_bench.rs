@@ -91,13 +91,12 @@ impl DetectionReport {
     }
 }
 
-/// Builds the merged background+event stream for one trial.
-fn build_stream(
+/// The background stream every trial shares: the first `background_users`
+/// users' tweets, stably sorted by timestamp. Built once per benchmark run.
+fn background_stream(
     dataset: &Dataset,
     gazetteer: &Gazetteer,
     background_users: usize,
-    scenario: Option<&EventScenario>,
-    seed: u64,
 ) -> Vec<StreamTweet> {
     let mut stream: Vec<StreamTweet> = Vec::new();
     for u in dataset.users.iter().take(background_users) {
@@ -110,17 +109,44 @@ fn build_stream(
             });
         }
     }
-    if let Some(sc) = scenario {
-        for r in inject(sc, dataset, gazetteer, seed) {
-            stream.push(StreamTweet {
-                user: r.tweet.user.0,
-                timestamp: r.tweet.timestamp,
-                text: r.tweet.text.clone(),
-                gps: r.tweet.gps,
-            });
-        }
-    }
     stream.sort_by_key(|t| t.timestamp);
+    stream
+}
+
+/// One event trial's stream: the scenario's injected reports merged into
+/// the sorted `background`, background first on equal timestamps. That is
+/// exactly the stable sort of background-then-reports by timestamp.
+fn with_event(
+    background: &[StreamTweet],
+    dataset: &Dataset,
+    gazetteer: &Gazetteer,
+    scenario: &EventScenario,
+    seed: u64,
+) -> Vec<StreamTweet> {
+    let reports = inject(scenario, dataset, gazetteer, seed)
+        .into_iter()
+        .map(|r| StreamTweet {
+            user: r.tweet.user.0,
+            timestamp: r.tweet.timestamp,
+            text: r.tweet.text,
+            gps: r.tweet.gps,
+        })
+        .collect();
+    merge_stable(background, reports)
+}
+
+/// Stable merge of a sorted `background` with `reports` (any order).
+fn merge_stable(background: &[StreamTweet], mut reports: Vec<StreamTweet>) -> Vec<StreamTweet> {
+    reports.sort_by_key(|t| t.timestamp);
+    let mut stream = Vec::with_capacity(background.len() + reports.len());
+    let mut rest = background;
+    for r in reports {
+        let cut = rest.partition_point(|t| t.timestamp <= r.timestamp);
+        stream.extend_from_slice(&rest[..cut]);
+        rest = &rest[cut..];
+        stream.push(r);
+    }
+    stream.extend_from_slice(rest);
     stream
 }
 
@@ -140,16 +166,11 @@ pub fn run_detection_benchmark(
 ) -> DetectionReport {
     let mut report = DetectionReport::default();
     let toretter = Toretter::new("earthquake", estimator);
+    let background = background_stream(dataset, gazetteer, background_users);
 
     for (i, &(epicenter, start)) in epicenters.iter().enumerate() {
         let scenario = EventScenario::earthquake(epicenter, start);
-        let stream = build_stream(
-            dataset,
-            gazetteer,
-            background_users,
-            Some(&scenario),
-            seed + i as u64,
-        );
+        let stream = with_event(&background, dataset, gazetteer, &scenario, seed + i as u64);
         match toretter.detect(&stream, builder) {
             Some(alert) => report.trials.push(TrialOutcome {
                 event_present: true,
@@ -165,15 +186,9 @@ pub fn run_detection_benchmark(
             }),
         }
     }
-    for q in 0..quiet_trials {
-        let stream = build_stream(
-            dataset,
-            gazetteer,
-            background_users,
-            None,
-            seed + 1000 + q as u64,
-        );
-        let detected = toretter.detect(&stream, builder).is_some();
+    // A quiet trial is the background alone, identical in every trial.
+    for _ in 0..quiet_trials {
+        let detected = toretter.detect(&background, builder).is_some();
         report.trials.push(TrialOutcome {
             event_present: false,
             detected,
@@ -250,6 +265,85 @@ mod tests {
         if let Some(lat) = report.mean_latency_secs() {
             assert!(lat < 1_800.0, "latency {lat} s");
         }
+    }
+
+    /// The construction `with_event` replaced, kept as its oracle:
+    /// background in user order, then the reports, then one stable sort.
+    fn concat_then_sort(
+        dataset: &Dataset,
+        gazetteer: &Gazetteer,
+        background_users: usize,
+        reports: &[StreamTweet],
+    ) -> Vec<StreamTweet> {
+        let mut stream: Vec<StreamTweet> = Vec::new();
+        for u in dataset.users.iter().take(background_users) {
+            for t in dataset.user_tweets(gazetteer, u.id) {
+                stream.push(StreamTweet {
+                    user: t.user.0,
+                    timestamp: t.timestamp,
+                    text: t.text,
+                    gps: t.gps,
+                });
+            }
+        }
+        stream.extend_from_slice(reports);
+        stream.sort_by_key(|t| t.timestamp);
+        stream
+    }
+
+    fn fields(stream: &[StreamTweet]) -> Vec<(u64, u64, &str, Option<Point>)> {
+        stream
+            .iter()
+            .map(|t| (t.user, t.timestamp, t.text.as_str(), t.gps))
+            .collect()
+    }
+
+    #[test]
+    fn merged_stream_equals_concat_then_stable_sort() {
+        let gazetteer = Gazetteer::load();
+        let dataset = Dataset::generate(
+            DatasetSpec {
+                n_users: 400,
+                ..DatasetSpec::korean_paper()
+            },
+            &gazetteer,
+            17,
+        );
+        let background = background_stream(&dataset, &gazetteer, 150);
+        let scenario = EventScenario::earthquake(Point::new(37.5, 127.0), 40_000);
+        let stream = with_event(&background, &dataset, &gazetteer, &scenario, 5);
+        let mut reports: Vec<StreamTweet> = inject(&scenario, &dataset, &gazetteer, 5)
+            .into_iter()
+            .map(|r| StreamTweet {
+                user: r.tweet.user.0,
+                timestamp: r.tweet.timestamp,
+                text: r.tweet.text,
+                gps: r.tweet.gps,
+            })
+            .collect();
+        assert!(!reports.is_empty(), "the scenario must inject reports");
+        assert_eq!(
+            fields(&stream),
+            fields(&concat_then_sort(&dataset, &gazetteer, 150, &reports))
+        );
+
+        // Reports that tie background tweets (and each other) on the
+        // timestamp, given out of order: the background tweet stays first
+        // and tied reports keep their given order.
+        let tied = background[background.len() / 2].timestamp;
+        let first = background[0].timestamp;
+        for (i, ts) in [tied, first, tied].into_iter().enumerate() {
+            reports.push(StreamTweet {
+                user: 1_000_000 + i as u64,
+                timestamp: ts,
+                text: format!("tied report {i}"),
+                gps: None,
+            });
+        }
+        assert_eq!(
+            fields(&merge_stable(&background, reports.clone())),
+            fields(&concat_then_sort(&dataset, &gazetteer, 150, &reports))
+        );
     }
 
     #[test]
