@@ -75,8 +75,21 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
+/// One user reduced to the three numbers a [`GroupTable`] sums. A resample
+/// draws these, so it costs three `[u64; 7]` accumulators instead of a
+/// cohort of cloned [`GroupedUser`]s.
+#[derive(Clone, Copy)]
+struct UserSums {
+    group: usize,
+    tweets: u64,
+    locations: u64,
+}
+
 /// Bootstraps a per-group statistic (chosen by `stat`) over `resamples`
 /// resampled cohorts at the given two-sided `confidence` (e.g. 0.95).
+///
+/// Allocates a fixed number of buffers whatever the cohort size and the
+/// resample count: the per-user summaries, the samples, one sort buffer.
 fn bootstrap_stat<F: Fn(&GroupTable, TopKGroup) -> f64>(
     users: &[GroupedUser],
     resamples: usize,
@@ -86,25 +99,40 @@ fn bootstrap_stat<F: Fn(&GroupTable, TopKGroup) -> f64>(
 ) -> GroupCis {
     assert!(resamples > 0, "need at least one resample");
     assert!(
-        (0.0..1.0).contains(&confidence),
+        confidence > 0.0 && confidence < 1.0,
         "confidence must be in (0,1)"
     );
     let point_table = GroupTable::compute(users);
+    let sums: Vec<UserSums> = users
+        .iter()
+        .map(|u| UserSums {
+            group: u.group().index(),
+            tweets: u.total_tweets(),
+            locations: u.distinct_locations() as u64,
+        })
+        .collect();
     let mut rng = XorShift(seed | 1);
     let mut samples: Vec<[f64; 7]> = Vec::with_capacity(resamples);
-    let mut resample: Vec<GroupedUser> = Vec::with_capacity(users.len());
     for _ in 0..resamples {
-        resample.clear();
-        for _ in 0..users.len() {
-            resample.push(users[rng.below(users.len())].clone());
+        let mut user_counts = [0u64; 7];
+        let mut tweet_counts = [0u64; 7];
+        let mut loc_sums = [0u64; 7];
+        for _ in 0..sums.len() {
+            let u = sums[rng.below(sums.len())];
+            user_counts[u.group] += 1;
+            tweet_counts[u.group] += u.tweets;
+            loc_sums[u.group] += u.locations;
         }
-        let table = GroupTable::compute(&resample);
+        let table = GroupTable::from_sums(user_counts, tweet_counts, loc_sums);
         samples.push(std::array::from_fn(|i| stat(&table, TopKGroup::ALL[i])));
     }
     let alpha = (1.0 - confidence) / 2.0;
+    let mut values: Vec<f64> = Vec::with_capacity(resamples);
     let by_group = std::array::from_fn(|i| {
-        let mut values: Vec<f64> = samples.iter().map(|s| s[i]).collect();
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        values.clear();
+        values.extend(samples.iter().map(|s| s[i]));
+        // Unstable is exact here: `total_cmp` equality is bit equality.
+        values.sort_unstable_by(f64::total_cmp);
         Ci {
             point: stat(&point_table, TopKGroup::ALL[i]),
             lo: percentile(&values, alpha),
@@ -139,8 +167,127 @@ pub fn avg_locations_cis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grouping::group_user_strings;
+    use crate::grouping::{group_user_strings, MergedEntry};
     use crate::string::LocationString;
+    use proptest::prelude::*;
+
+    /// The clone-per-resample loop the summary kernel replaced, kept as
+    /// its oracle: every resample is a cohort of cloned users run through
+    /// [`GroupTable::compute`].
+    fn clone_per_resample<F: Fn(&GroupTable, TopKGroup) -> f64>(
+        users: &[GroupedUser],
+        resamples: usize,
+        confidence: f64,
+        seed: u64,
+        stat: F,
+    ) -> GroupCis {
+        let point_table = GroupTable::compute(users);
+        let mut rng = XorShift(seed | 1);
+        let mut samples: Vec<[f64; 7]> = Vec::with_capacity(resamples);
+        let mut resample: Vec<GroupedUser> = Vec::with_capacity(users.len());
+        for _ in 0..resamples {
+            resample.clear();
+            for _ in 0..users.len() {
+                resample.push(users[rng.below(users.len())].clone());
+            }
+            let table = GroupTable::compute(&resample);
+            samples.push(std::array::from_fn(|i| stat(&table, TopKGroup::ALL[i])));
+        }
+        let alpha = (1.0 - confidence) / 2.0;
+        let by_group = std::array::from_fn(|i| {
+            let mut values: Vec<f64> = samples.iter().map(|s| s[i]).collect();
+            values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            Ci {
+                point: stat(&point_table, TopKGroup::ALL[i]),
+                lo: percentile(&values, alpha),
+                hi: percentile(&values, 1.0 - alpha),
+            }
+        });
+        GroupCis { by_group }
+    }
+
+    fn bits(cis: &GroupCis) -> Vec<[u64; 3]> {
+        cis.by_group
+            .iter()
+            .map(|c| [c.point.to_bits(), c.lo.to_bits(), c.hi.to_bits()])
+            .collect()
+    }
+
+    /// A user with `counts` merged entries and the given matched rank; the
+    /// district names do not enter any statistic.
+    fn synthetic_user(user: u64, counts: Vec<u64>, matched_rank: Option<usize>) -> GroupedUser {
+        GroupedUser {
+            user,
+            state_profile: "Seoul".into(),
+            county_profile: "Guro-gu".into(),
+            entries: counts
+                .into_iter()
+                .enumerate()
+                .map(|(i, count)| MergedEntry {
+                    state: "Seoul".into(),
+                    county: format!("District-{i}"),
+                    count,
+                    matched: matched_rank == Some(i + 1),
+                })
+                .collect(),
+            matched_rank,
+        }
+    }
+
+    fn arb_cohort() -> impl Strategy<Value = Vec<GroupedUser>> {
+        prop::collection::vec(
+            (
+                prop::collection::vec(1u64..40, 1..8),
+                prop::option::of(1usize..9),
+            ),
+            0..60,
+        )
+        .prop_map(|users| {
+            users
+                .into_iter()
+                .enumerate()
+                .map(|(u, (counts, rank))| synthetic_user(u as u64, counts, rank))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn summary_kernel_is_bit_identical_to_cloning_resamples(
+            users in arb_cohort(),
+            resamples in 1usize..120,
+            seed in any::<u64>(),
+            confidence in 0.05f64..0.999,
+        ) {
+            let share = |t: &GroupTable, g| t.row(g).user_pct;
+            let locs = |t: &GroupTable, g| t.row(g).avg_locations;
+            prop_assert_eq!(
+                bits(&user_share_cis(&users, resamples, confidence, seed)),
+                bits(&clone_per_resample(&users, resamples, confidence, seed, share))
+            );
+            prop_assert_eq!(
+                bits(&avg_locations_cis(&users, resamples, confidence, seed)),
+                bits(&clone_per_resample(&users, resamples, confidence, seed, locs))
+            );
+        }
+    }
+
+    #[test]
+    fn empty_cohort_matches_the_oracle() {
+        let share = |t: &GroupTable, g| t.row(g).user_pct;
+        assert_eq!(
+            bits(&user_share_cis(&[], 50, 0.95, 9)),
+            bits(&clone_per_resample(&[], 50, 0.95, 9, share))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "confidence must be in (0,1)")]
+    fn zero_confidence_is_rejected() {
+        let _ = user_share_cis(&cohort(5, 5), 10, 0.0, 1);
+    }
 
     fn cohort(n_top1: usize, n_none: usize) -> Vec<GroupedUser> {
         let mut out = Vec::new();

@@ -47,6 +47,12 @@ impl GroupTable {
             tweet_counts[idx] += u.total_tweets();
             loc_sums[idx] += u.distinct_locations() as u64;
         }
+        Self::from_sums(user_counts, tweet_counts, loc_sums)
+    }
+
+    /// Builds the table from per-group sums in [`TopKGroup::ALL`] order:
+    /// users, GPS tweets, and distinct tweet districts summed over users.
+    pub fn from_sums(user_counts: [u64; 7], tweet_counts: [u64; 7], loc_sums: [u64; 7]) -> Self {
         let total_users: u64 = user_counts.iter().sum();
         let total_tweets: u64 = tweet_counts.iter().sum();
         let rows = std::array::from_fn(|i| GroupRow {

@@ -1,25 +1,35 @@
-//! Proves the interned merge loop allocates nothing per tweet.
+//! Proves the interned merge loop allocates nothing per tweet and the
+//! bootstrap nothing per resample or per user.
 //!
-//! A counting global allocator wraps the system one; the test groups the
-//! same district mix at two tweet volumes two orders of magnitude apart and
-//! asserts the allocation count is identical — every allocation the stage
-//! makes is per *distinct district* (the merge vector, the boundary
-//! strings), never per key. Lives in its own integration-test binary so no
-//! other test's allocations pollute the counters.
+//! A counting global allocator wraps the system one; each test runs the
+//! same stage at two sizes orders of magnitude apart and asserts the
+//! allocation count is identical — every allocation the merge stage makes
+//! is per *distinct district* (the merge vector, the boundary strings),
+//! never per key. The count is per thread, so tests the harness runs on
+//! other threads cannot pollute a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+use stir_core::grouping::MergedEntry;
 use stir_core::intern::{DistrictInterner, LocationKey};
-use stir_core::{group_user_keys_with, TieBreak};
+use stir_core::{group_user_keys_with, user_share_cis, GroupedUser, TieBreak};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so the allocator can touch it
+    // without allocating or registering a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,15 +61,11 @@ fn keys(interner: &mut DistrictInterner, n: usize, districts: usize) -> Vec<Loca
         .collect()
 }
 
-/// Serializes the measuring sections: the harness runs tests on parallel
-/// threads, and a concurrent test's allocations would land in our window.
-static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
+/// Allocations `f` makes on the calling thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let _guard = MEASURE.lock().unwrap();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
 #[test]
@@ -152,4 +158,48 @@ fn merge_loop_allocations_scale_with_district_count_only() {
         wide_allocs < 6 * 64,
         "{wide_allocs} allocations for 64 districts"
     );
+}
+
+/// `n` users spread over every Top-k group, with 1–4 merged entries each.
+fn cohort(n: usize) -> Vec<GroupedUser> {
+    (0..n)
+        .map(|u| {
+            let entries = 1 + u % 4;
+            let rank = [Some(1), Some(2), Some(3), Some(4), Some(5), Some(7), None][u % 7];
+            GroupedUser {
+                user: u as u64,
+                state_profile: "Seoul".into(),
+                county_profile: "District-0".into(),
+                entries: (0..entries)
+                    .map(|e| MergedEntry {
+                        state: "Seoul".into(),
+                        county: format!("District-{e}"),
+                        count: (entries - e) as u64,
+                        matched: rank == Some(e + 1),
+                    })
+                    .collect(),
+                matched_rank: rank,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn bootstrap_allocation_count_is_independent_of_resamples_and_users() {
+    let small = cohort(100);
+    let large = cohort(10_000);
+    let _ = user_share_cis(&small, 100, 0.95, 7);
+
+    let (_, few) = allocations_during(|| user_share_cis(&small, 100, 0.95, 7));
+    let (_, many) = allocations_during(|| user_share_cis(&small, 1_000, 0.95, 7));
+    assert_eq!(
+        few, many,
+        "bootstrap allocated per resample: {few} allocs at 100 resamples vs {many} at 1,000"
+    );
+    let (_, wide) = allocations_during(|| user_share_cis(&large, 100, 0.95, 7));
+    assert_eq!(
+        few, wide,
+        "bootstrap allocated per user: {few} allocs at 100 users vs {wide} at 10,000"
+    );
+    assert!(few > 0);
 }

@@ -5,6 +5,8 @@
 //! group holds about 30%; the middle groups (Top-3 … Top-5) are small and
 //! decreasing.
 
+use std::time::Instant;
+
 use stir_core::{report, user_share_cis, GroupTable, GroupedUser, TopKGroup};
 
 use crate::context::{analyse, gazetteer, korean_spec, Options};
@@ -15,13 +17,22 @@ pub fn run(opts: &Options) {
     let analysed = analyse(korean_spec(opts), g, opts);
     let table = GroupTable::compute(&analysed.result.users);
     print(&table);
-    print_cis(&analysed.result.users, opts.seed);
+    print_cis(&analysed.result.users, opts);
 }
 
 /// Prints 95% bootstrap intervals for the user shares — error bars the
-/// paper does not report, sized for this run's cohort.
-pub fn print_cis(users: &[GroupedUser], seed: u64) {
-    let cis = user_share_cis(users, 500, 0.95, seed);
+/// paper does not report, sized for this run's cohort. With `--verbose`
+/// the bootstrap's size and time go to stderr.
+pub fn print_cis(users: &[GroupedUser], opts: &Options) {
+    let start = Instant::now();
+    let cis = user_share_cis(users, 500, 0.95, opts.seed);
+    if opts.verbose {
+        eprintln!(
+            "bootstrap: 500 resamples × {} users, {:.1} ms",
+            users.len(),
+            start.elapsed().as_secs_f64() * 1e3
+        );
+    }
     println!(
         "\n95% bootstrap CIs ({} users, 500 resamples):",
         users.len()

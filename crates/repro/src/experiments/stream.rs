@@ -73,7 +73,7 @@ pub fn report(opts: &Options, dataset: &Dataset) {
 
     let table = GroupTable::compute(&result.users);
     fig7::print(&table);
-    fig7::print_cis(&result.users, opts.seed);
+    fig7::print_cis(&result.users, opts);
 }
 
 /// The `--restore-midway` path: WAL-first ingest through the durable

@@ -155,6 +155,20 @@ fn verbose_prints_stage_metrics() {
 }
 
 #[test]
+fn verbose_fig7_reports_the_bootstrap_on_stderr_only() {
+    let (quiet_out, quiet_err, code) = run(&["fig7", "--scale", "0.02", "--seed", "1"]);
+    assert_eq!(code, Some(0), "stderr:\n{quiet_err}");
+    assert!(!quiet_err.contains("bootstrap:"), "stderr:\n{quiet_err}");
+    let (stdout, stderr, code) = run(&["fig7", "--scale", "0.02", "--seed", "1", "--verbose"]);
+    assert_eq!(code, Some(0), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("bootstrap: 500 resamples × "),
+        "missing bootstrap line in stderr:\n{stderr}"
+    );
+    assert_eq!(stdout, quiet_out, "--verbose changed stdout");
+}
+
+#[test]
 fn resilient_backend_rides_out_faults_without_changing_figures() {
     // The acceptance bar for the service layer: a seeded fault schedule at
     // the endpoint must not perturb a single byte of figure output when the

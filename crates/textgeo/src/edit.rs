@@ -1,5 +1,6 @@
 //! Damerau–Levenshtein (optimal string alignment) edit distance with an
-//! early-exit bound, used for typo-tolerant district-name matching.
+//! early-exit bound, and the exact one-edit test the district matcher's
+//! typo-tolerant pass runs.
 
 /// Optimal-string-alignment distance between `a` and `b`, or `None` if it
 /// exceeds `max`. Operates on Unicode scalar values.
@@ -42,6 +43,34 @@ pub fn bounded_damerau_levenshtein(a: &str, b: &str, max: usize) -> Option<usize
     }
     let d = prev[m];
     (d <= max).then_some(d)
+}
+
+/// True when the optimal-string-alignment distance between `a` and `b` is
+/// at most 1: the strings are equal, or differ by one substitution, one
+/// insertion or deletion, or one transposition of adjacent bytes.
+///
+/// Compares bytes, so on ASCII input it equals
+/// `bounded_damerau_levenshtein(a, b, 1).is_some()`, in one pass and
+/// without allocating.
+pub fn within_one_edit(a: &[u8], b: &[u8]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if long.len() - short.len() > 1 {
+        return false;
+    }
+    let p = short.iter().zip(long).take_while(|(x, y)| x == y).count();
+    if p == short.len() {
+        // Equal, or `long` is `short` plus one trailing byte.
+        return true;
+    }
+    if short.len() < long.len() {
+        return short[p..] == long[p + 1..];
+    }
+    let substitution = short[p + 1..] == long[p + 1..];
+    let transposition = p + 1 < short.len()
+        && short[p] == long[p + 1]
+        && short[p + 1] == long[p]
+        && short[p + 2..] == long[p + 2..];
+    substitution || transposition
 }
 
 #[cfg(test)]

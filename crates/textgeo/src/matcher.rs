@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use stir_geokr::{DistrictId, ForwardGeocoder, ForwardResult, Gazetteer, Province};
 
-use crate::edit::bounded_damerau_levenshtein;
+use crate::edit::within_one_edit;
 use crate::hangul::romanize;
 use crate::normalize::{join_suffix, tokens};
 
@@ -44,7 +44,7 @@ pub struct DistrictMatcher<'g> {
     stems: HashMap<String, Vec<DistrictId>>,
     /// Korean stem (no suffix char) → district ids
     ko_stems: HashMap<String, Vec<DistrictId>>,
-    /// every romanized full name, for fuzzy matching
+    /// every romanized full name, lowercased ASCII, for fuzzy matching
     fuzzy_pool: Vec<(String, DistrictId)>,
 }
 
@@ -66,6 +66,9 @@ impl<'g> DistrictMatcher<'g> {
                     ko_stems.entry(stripped.to_string()).or_default().push(d.id);
                 }
             }
+            // The fuzzy pass compares bytes, which equals comparing
+            // characters only on ASCII.
+            assert!(d.name_en.is_ascii(), "non-ASCII name {:?}", d.name_en);
             fuzzy_pool.push((d.name_en.to_ascii_lowercase(), d.id));
         }
         DistrictMatcher {
@@ -234,7 +237,7 @@ impl<'g> DistrictMatcher<'g> {
             if t.len() >= 6 && t.is_ascii() {
                 let mut hits: Vec<DistrictId> = Vec::new();
                 for (name, id) in &self.fuzzy_pool {
-                    if bounded_damerau_levenshtein(t, name, 1).is_some() {
+                    if within_one_edit(t.as_bytes(), name.as_bytes()) {
                         hits.push(*id);
                     }
                 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use stir_geokr::Gazetteer;
 use stir_textgeo::coords::parse_coordinates;
-use stir_textgeo::edit::bounded_damerau_levenshtein;
+use stir_textgeo::edit::{bounded_damerau_levenshtein, within_one_edit};
 use stir_textgeo::hangul::romanize;
 use stir_textgeo::normalize::normalize;
 use stir_textgeo::segment::split_alternatives;
@@ -95,6 +95,15 @@ proptest! {
     }
 
     #[test]
+    fn one_edit_test_equals_the_dp_on_random_pairs(a in "[ab-]{0,6}", b in "[ab-]{0,6}") {
+        prop_assert_eq!(
+            within_one_edit(a.as_bytes(), b.as_bytes()),
+            bounded_damerau_levenshtein(&a, &b, 1).is_some(),
+            "{:?} vs {:?}", a, b
+        );
+    }
+
+    #[test]
     fn romanize_is_total_and_ascii_for_hangul(s in "[가-힣]{0,12}") {
         let r = romanize(&s);
         prop_assert!(r.is_ascii(), "non-ascii romanization {:?} for {:?}", r, s);
@@ -106,5 +115,30 @@ proptest! {
     #[test]
     fn romanize_passthrough_for_ascii(s in "[a-z0-9 ]{0,20}") {
         prop_assert_eq!(romanize(&s), s);
+    }
+}
+
+/// Every pair of strings of up to five bytes over `{a, b, -}`: all
+/// prefix, transposition and tail shapes the one-edit test distinguishes,
+/// most of which random pairs rarely draw.
+#[test]
+fn one_edit_test_equals_the_dp_exhaustively() {
+    let mut strings = vec![String::new()];
+    let mut last = vec![String::new()];
+    for _ in 0..5 {
+        last = last
+            .iter()
+            .flat_map(|s| ['a', 'b', '-'].map(|c| format!("{s}{c}")))
+            .collect();
+        strings.extend(last.iter().cloned());
+    }
+    for a in &strings {
+        for b in &strings {
+            assert_eq!(
+                within_one_edit(a.as_bytes(), b.as_bytes()),
+                bounded_damerau_levenshtein(a, b, 1).is_some(),
+                "{a:?} vs {b:?}"
+            );
+        }
     }
 }

@@ -5,35 +5,12 @@
 //! output to a recorded fingerprint, so a speed-up that moves even one
 //! random draw fails here instead of silently changing the figures.
 
+mod common;
+
+use common::Fnv;
 use stir::geokr::{Gazetteer, NEARBY_RING_LEN};
 use stir::twitter_sim::datasets::{Dataset, DatasetSpec};
 use stir::twitter_sim::UserId;
-
-/// FNV-1a, 64-bit: a dependency-free, platform-stable byte hash.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed, so adjacent strings cannot alias.
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-}
 
 /// Hashes everything `Dataset::generate` draws: profiles, tweet budgets,
 /// GPS habits, ground truth (home, style, archetype, mobility spots with
