@@ -1,5 +1,5 @@
-//! End-to-end pipeline benchmarks: the staged reference path against the
-//! fused morsel-driven engine on the same corpus, across the thread range.
+//! End-to-end pipeline benchmarks: the fused morsel-driven engine, adaptive
+//! and thread-exact, across the thread range.
 //! The corpus is the realistic shape — district-centroid GPS fixes with a
 //! GPS-less remainder, profiles cycling the classifier branches — so the
 //! numbers measure the engine, not a cache-friendly toy.
@@ -56,11 +56,7 @@ fn bench_e2e(c: &mut Criterion) {
             // pins the configured thread count (`--threads-exact`), showing
             // what the E21 oversubscription regression cost before the
             // adaptive scheduler.
-            for (label, fused, exact) in [
-                ("staged", false, false),
-                ("fused", true, false),
-                ("fused-exact", true, true),
-            ] {
+            for (label, exact) in [("fused", false), ("fused-exact", true)] {
                 if exact && threads == 1 {
                     // Identical to plain `fused` at one thread.
                     continue;
@@ -68,7 +64,6 @@ fn bench_e2e(c: &mut Criterion) {
                 let pipeline = PipelineBuilder::new(&g)
                     .threads(threads)
                     .threads_exact(exact)
-                    .fused(fused)
                     .build()
                     .unwrap();
                 group.bench_with_input(

@@ -1,9 +1,9 @@
-//! Minimum-time sweep of the staged/fused pipeline matrix.
+//! Minimum-time sweep of the pipeline across threads, adaptive and exact.
 //!
 //! Criterion's mean-based estimates are unusable on a shared container:
 //! CPU-steal spikes inflate a 7 ms run to 70 ms and the means flip
 //! randomly between cells that execute identical code. This harness
-//! measures each (corpus × threads × engine) cell as the **minimum** wall
+//! measures each (corpus × threads × scheduler) cell as the **minimum** wall
 //! time over `ROUNDS` in-process runs, with the cells interleaved
 //! round-robin so slow drift in the host's steal rate lands on every cell
 //! equally, and prints one JSON object per cell, ready for
@@ -74,11 +74,7 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for &(n, _) in &corpora {
         for &threads in &[1usize, 8] {
-            for (label, fused, exact) in [
-                ("staged", false, false),
-                ("fused", true, false),
-                ("fused-exact", true, true),
-            ] {
+            for (label, exact) in [("fused", false), ("fused-exact", true)] {
                 if exact && threads == 1 {
                     // Identical to plain `fused` at one thread.
                     continue;
@@ -90,7 +86,6 @@ fn main() {
                     pipeline: PipelineBuilder::new(g)
                         .threads(threads)
                         .threads_exact(exact)
-                        .fused(fused)
                         .build()
                         .unwrap(),
                     best_nanos: u128::MAX,

@@ -14,7 +14,7 @@
 //! unchanged, only its carrier representation is.
 //!
 //! Note this id space is *not* the gazetteer's
-//! [`stir_geokr::DistrictId`](stir_geokr::DistrictId): gazetteer ids index
+//! [`stir_geokr::DistrictId`]: gazetteer ids index
 //! the static district table, while interned ids number the grouping keys
 //! in first-insert order — under [`crate::Granularity::City`] several
 //! gazetteer districts collapse into one interned id.

@@ -8,16 +8,16 @@
 //! * [`grouping`] — the **text-based grouping method**: merge identical
 //!   strings with counts, order per user, locate the *matched string*
 //!   (profile district == tweet district) and its rank (Table II).
-//! * [`topk`] — the Top-k user groups (Top-1 … Top-5, Top-6+, None);
-//!   [`online`] — the same grouping maintained incrementally per key.
-//! * [`service`] — the always-on incremental engine: [`AnalysisSession`]
-//!   ingests one tweet at a time (byte-identical to the batch pipeline at
-//!   every prefix), answers windowed/top-k queries over live state, and
-//!   persists through WAL + checkpoint frames ([`DurableSession`]).
+//! * [`topk`] — the Top-k user groups (Top-1 … Top-5, Top-6+, None).
+//! * [`service`] — the same grouping maintained incrementally:
+//!   [`AnalysisSession`] ingests one tweet at a time (byte-identical to
+//!   the batch pipeline at every prefix), answers windowed/top-k queries
+//!   over live state, and persists through WAL + checkpoint frames
+//!   ([`DurableSession`]).
 //! * [`pipeline`] — the end-to-end refinement pipeline (§III-B): classify
 //!   free-text profile locations, keep GPS tweets, geocode both sides
-//!   (optionally round-tripping through the mock Yahoo XML), build and
-//!   group strings.
+//!   (optionally round-tripping through the mock Yahoo XML), then build
+//!   and group the strings on one fused morsel-driven engine.
 //! * [`funnel`] — the data-refinement funnel the paper reports (52k crawled
 //!   → ~30k well defined → 1,1xx final users).
 //! * [`stats`] — per-group statistics behind Figs. 6–7 and the slide
@@ -44,7 +44,6 @@ pub(crate) mod hash;
 pub mod input;
 pub mod intern;
 pub mod metrics;
-pub mod online;
 pub mod pipeline;
 pub mod regional;
 pub mod reliability;
@@ -61,8 +60,8 @@ pub use compare::{compare, TableComparison};
 pub use funnel::CollectionFunnel;
 pub use granularity::Granularity;
 pub use grouping::{
-    group_cohort, group_cohort_with_block, group_user_keys, group_user_keys_with,
-    group_user_strings, group_user_strings_with, GroupedUser, TieBreak,
+    group_user_keys, group_user_keys_with, group_user_strings, group_user_strings_with,
+    GroupedUser, TieBreak,
 };
 pub use input::{ProfileRow, TweetRow};
 pub use intern::{DistrictInterner, LocationKey};
@@ -70,7 +69,6 @@ pub use metrics::{
     ExecMetrics, ExecMode, GeocodeMetrics, GeocodeMode, GroupingMetrics, PipelineMetrics,
     SelectMetrics, StageTimings,
 };
-pub use online::OnlineGrouping;
 pub use pipeline::exec::{warmup_collapse, ColumnBatch, MorselSource, RowSource, NO_GPS_E6};
 pub use pipeline::{
     AnalysisResult, PipelineBuildError, PipelineBuilder, PipelineConfig, PipelineInput,

@@ -1,6 +1,6 @@
 //! Pipeline observability: per-stage wall time and geocode-stage detail.
 //!
-//! Every [`crate::RefinementPipeline::run`] fills a [`PipelineMetrics`] and
+//! Every [`crate::RefinementPipeline::execute`] fills a [`PipelineMetrics`] and
 //! returns it on [`crate::AnalysisResult`], so callers can assert on and
 //! report the pipeline's hot path — at paper scale the geocode stage
 //! dominates, and this is where its throughput, cache behaviour, and
@@ -69,8 +69,8 @@ pub struct GeocodeMetrics {
     pub cache_hits: u64,
     /// Worker threads used (1 on the serial paths).
     pub threads: usize,
-    /// Scheduler blocks completed by each worker thread. Empty on the
-    /// serial paths; sums to the total block count on the parallel path.
+    /// Morsels completed by each worker thread. Empty on the serial
+    /// paths; sums to the total morsel count on the parallel path.
     /// Imbalance here means the dynamic scheduler was hand-feeding a
     /// straggler, exactly what it exists to absorb.
     pub blocks_per_thread: Vec<u64>,
@@ -221,8 +221,8 @@ pub struct ExecMetrics {
     pub rows_in: u64,
     /// Rows that carried a GPS fix.
     pub gps_rows: u64,
-    /// Kept-cohort map probes issued — exactly one per GPS row; the
-    /// staged path's historical double probe is pinned out by tests.
+    /// Kept-cohort map probes issued — exactly one per GPS row (a
+    /// second probe at key build is pinned out by tests).
     pub kept_probes: u64,
     /// GPS fixes of cohort members handed to the geocoder.
     pub fixes: u64,
@@ -249,9 +249,6 @@ pub struct ExecMetrics {
     /// Peak intermediate bytes the fused pass holds at once, estimated
     /// from counters: tagged keys + per-worker morsel/scratch buffers.
     pub peak_bytes_estimate: u64,
-    /// What the staged reference path would have materialized for the same
-    /// input: fix records + resolved vector + per-user key map.
-    pub staged_bytes_estimate: u64,
     /// Sealed segments answered from their materialized group sketch
     /// instead of being streamed through the operators (0 when the sketch
     /// path was off or inapplicable).
@@ -301,8 +298,8 @@ pub struct PipelineMetrics {
     pub geocode: GeocodeMetrics,
     /// Grouping-stage detail.
     pub grouping: GroupingMetrics,
-    /// Fused-engine detail when the morsel-driven path ran; `None` on the
-    /// staged reference path.
+    /// Engine detail for every pipeline run; `None` on results assembled
+    /// from live session state.
     pub exec: Option<ExecMetrics>,
     /// Store-scan detail when the run was fed from a `TweetStore`
     /// (segments pruned, decode volume, throughput); `None` on row-fed
@@ -441,11 +438,9 @@ impl PipelineMetrics {
                 ));
             }
             out.push_str(&format!(
-                "memory: peak intermediate {} ({:.1} B/tweet), staged path would hold {}, \
-                 partition skew {:.2}\n",
+                "memory: peak intermediate {} ({:.1} B/tweet), partition skew {:.2}\n",
                 fmt_bytes(e.peak_bytes_estimate),
                 e.bytes_per_tweet(),
-                fmt_bytes(e.staged_bytes_estimate),
                 e.partition_skew(),
             ));
         }
@@ -573,7 +568,6 @@ mod tests {
                 merge_wall: Duration::from_micros(80),
                 partition_keys: vec![600; 14],
                 peak_bytes_estimate: 220_000,
-                staged_bytes_estimate: 540_000,
                 ..Default::default()
             }),
             scan: None,

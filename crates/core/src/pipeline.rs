@@ -12,14 +12,14 @@
 //! 3. **Build strings** (Table I), **group and order** them (Table II), and
 //!    classify each surviving user into a Top-k group.
 //!
-//! Geocoding parallelizes across `threads` OS threads (`std::thread::scope`)
-//! behind a dynamic block scheduler: an atomic cursor hands out fixed-size
-//! blocks of fixes, so a thread that drew cheap cache hits steals the next
-//! block instead of idling behind a straggler. Output stays deterministic:
-//! results land by input index, and per-user string order (which drives
-//! tie-breaking) is the tweet input order. Every run also fills a
-//! [`PipelineMetrics`] — per-stage wall time, geocode throughput, cache hit
-//! ratio, per-thread block counts — returned on [`AnalysisResult`].
+//! Stages 2–3 run on one engine, the fused morsel-driven pass in
+//! [`exec`]: tweets stream in columnar morsels over up to `threads` OS
+//! threads, and each worker filters, geocodes, interns and partitions in
+//! one pass. Output stays deterministic: per-user string order (which
+//! drives tie-breaking) is the tweet input order at any geometry. Every
+//! run also fills a [`PipelineMetrics`] — per-stage wall time, geocode
+//! throughput, cache hit ratio, per-thread morsel counts — returned on
+//! [`AnalysisResult`].
 //!
 //! The hot path is **interned** ([`crate::intern`]): at construction the
 //! pipeline interns every gazetteer district's grouping key once (with
@@ -27,15 +27,14 @@
 //! index — no string is hashed, cloned, or even materialized between the
 //! geocoder and the report boundary. The geocode stage asks its backend for
 //! the district *id* ([`Geocoder::resolve_id`]), the grouping stage merges
-//! 16-byte [`LocationKey`]s, and [`GroupedUser`]'s public `String` fields
+//! 16-byte [`LocationKey`](crate::intern::LocationKey)s, and [`GroupedUser`]'s public `String` fields
 //! are resolved from the symbol table once per merged entry at the end.
-//! Per-user grouping fans out over the same block scheduler; results are
-//! stitched in user-id order, so the output is byte-identical to serial.
+//! Per-user grouping runs per key partition; results are stitched in
+//! user-id order, so the output is byte-identical to serial.
 
 pub mod exec;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use stir_geoindex::Point;
@@ -49,36 +48,17 @@ use stir_tweetstore::{
 
 use crate::funnel::CollectionFunnel;
 use crate::granularity::Granularity;
-use crate::grouping::{group_cohort, GroupedUser, TieBreak};
+use crate::grouping::{GroupedUser, TieBreak};
 use crate::input::{ProfileRow, TweetRow};
-use crate::intern::{DistrictId, DistrictInterner, LocationKey};
-use crate::metrics::{
-    ExecMetrics, ExecMode, GeocodeMetrics, GeocodeMode, PipelineMetrics, SelectMetrics,
-};
+use crate::intern::{DistrictId, DistrictInterner};
+use crate::metrics::{ExecMetrics, ExecMode, GeocodeMode, PipelineMetrics, SelectMetrics};
 use crate::sketch;
 use exec::{ColumnBatch, MorselSource, RowSource};
 
-/// Fixes handed to a worker per scheduler draw. Big enough that the atomic
-/// cursor is cold (one fetch_add per ~2048 lookups), small enough that a
-/// tail block cannot leave a thread idle for long.
-const GEOCODE_BLOCK: usize = 2048;
-
-/// Below this many fixes the thread-spawn overhead outweighs the fan-out.
-const PARALLEL_THRESHOLD: usize = 1024;
-
-/// Default rows per morsel on the fused path: big enough that per-morsel
+/// Default rows per morsel: big enough that per-morsel
 /// costs (source cursor, batched geocode dispatch, partition flush) are
 /// cold, small enough that workers stay balanced on skewed inputs.
 const DEFAULT_MORSEL_ROWS: usize = 2048;
-
-/// One geocoded fix: the gazetteer district id, or `None` outside coverage.
-type ResolvedFix = Option<GazDistrictId>;
-
-/// One intake survivor on the staged path: `(user, tweet_id, point,
-/// profile district)` — the profile id is captured at the single
-/// kept-cohort probe and rides along, so the key build never hashes the
-/// user a second time.
-type Fix = (u64, u64, Point, DistrictId);
 
 /// The memoized outcome of classifying one distinct profile text: which
 /// funnel bucket(s) it increments and, for kept users, the interned
@@ -104,86 +84,59 @@ enum CachedClass {
 ///
 /// Construct through [`PipelineBuilder`] — the builder validates the
 /// geometry once at [`PipelineBuilder::build`] instead of every consumer
-/// re-checking field combinations at runtime. Direct field access is
-/// deprecated; read through the accessor methods
-/// ([`PipelineConfig::threads`], [`PipelineConfig::is_fused`], …).
+/// re-checking field combinations at runtime. Read through the accessor
+/// methods ([`PipelineConfig::threads`], [`PipelineConfig::backend`], …).
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
-    /// Legacy switch for [`BackendChoice::Yahoo`]: round-trip every reverse
-    /// geocode through the mock Yahoo XML endpoint (serialize → parse),
-    /// exercising the paper's integration path. Ignored when `backend`
-    /// already names a non-default choice.
-    #[deprecated(note = "construct via PipelineBuilder::via_yahoo_xml")]
-    pub via_yahoo_xml: bool,
     /// Which geocoding backend the pipeline plugs in (the pipeline itself
     /// never names a concrete geocoder type).
-    #[deprecated(note = "construct via PipelineBuilder::backend")]
-    pub backend: BackendChoice,
+    backend: BackendChoice,
     /// Fault schedule injected at the Yahoo endpoint (quiet by default;
     /// meaningless for the plain gazetteer backend).
-    #[deprecated(note = "construct via PipelineBuilder::faults")]
-    pub fault_plan: FaultPlan,
+    fault_plan: FaultPlan,
     /// Retry/breaker/budget knobs of the resilient backend.
-    #[deprecated(note = "construct via PipelineBuilder::resilience")]
-    pub resilience: ResiliencePolicy,
+    resilience: ResiliencePolicy,
     /// Worker-thread **ceiling** (≥ 1). The scheduler never exceeds it,
     /// but may use fewer: the count is capped at the machine's
-    /// `available_parallelism`, and the fused engine additionally
-    /// collapses to serial-inline when a warmup sample shows workers
-    /// time-slicing one core (see [`exec::warmup_collapse`]).
-    #[deprecated(note = "construct via PipelineBuilder::threads")]
-    pub threads: usize,
+    /// `available_parallelism`, and the engine additionally collapses to
+    /// serial-inline when a warmup sample shows workers time-slicing one
+    /// core (see [`exec::warmup_collapse`]).
+    threads: usize,
     /// Obey `threads` exactly — no availability cap, no warmup collapse.
     /// The bench escape hatch (`--threads-exact`): oversubscription
     /// experiments need the configured geometry to actually run.
-    #[deprecated(note = "construct via PipelineBuilder::threads_exact")]
-    pub threads_exact: bool,
+    threads_exact: bool,
     /// Grouping grain (the §III-B metropolitan-split choice).
-    #[deprecated(note = "construct via PipelineBuilder::granularity")]
-    pub granularity: Granularity,
-    /// Run stages 2–3 on the fused morsel-driven engine (default). The
-    /// staged path stays available as the reference implementation —
-    /// byte-identical output, pinned by tests.
-    #[deprecated(note = "construct via PipelineBuilder::staged / fused")]
-    pub fused: bool,
-    /// Rows per morsel on the fused path; `0` picks the default grain.
-    #[deprecated(note = "construct via PipelineBuilder::morsel_rows")]
-    pub morsel_rows: usize,
-    /// Hash partitions for emitted keys on the fused path; `0` sizes from
-    /// the thread count.
-    #[deprecated(note = "construct via PipelineBuilder::partitions")]
-    pub fused_partitions: usize,
+    granularity: Granularity,
+    /// Rows per morsel; `0` picks the default grain.
+    morsel_rows: usize,
+    /// Hash partitions for emitted keys; `0` sizes from the thread count.
+    partitions: usize,
     /// Answer store-backed queries from per-segment group sketches when
     /// every sealed segment has (or can lazily build) one under the
-    /// pipeline's gazetteer; falls back to the configured engine
-    /// otherwise. Gazetteer backend only.
-    #[deprecated(note = "construct via PipelineBuilder::sketches")]
-    pub sketches: bool,
+    /// pipeline's gazetteer; falls back to the scan otherwise. Gazetteer
+    /// backend only.
+    sketches: bool,
 }
 
-#[allow(deprecated)] // the one sanctioned construction site besides the builder
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            via_yahoo_xml: false,
             backend: BackendChoice::default(),
             fault_plan: FaultPlan::default(),
             resilience: ResiliencePolicy::default(),
             threads: 4,
             threads_exact: false,
             granularity: Granularity::District,
-            fused: true,
             morsel_rows: 0,
-            fused_partitions: 0,
+            partitions: 0,
             sketches: false,
         }
     }
 }
 
-#[allow(deprecated)] // accessors are the supported read path over the deprecated fields
 impl PipelineConfig {
-    /// The configured backend choice (before the legacy-flag upgrade —
-    /// see [`PipelineConfig::effective_backend`]).
+    /// The geocoding backend the pipeline assembles.
     pub fn backend(&self) -> BackendChoice {
         self.backend
     }
@@ -213,38 +166,19 @@ impl PipelineConfig {
         self.granularity
     }
 
-    /// Whether stages 2–3 run on the fused morsel-driven engine.
-    pub fn is_fused(&self) -> bool {
-        self.fused
-    }
-
-    /// Whether the legacy Yahoo-XML round-trip switch is on.
-    pub fn via_yahoo_xml(&self) -> bool {
-        self.via_yahoo_xml
-    }
-
     /// Rows per morsel as configured (`0` = auto).
     pub fn morsel_rows(&self) -> usize {
         self.morsel_rows
     }
 
-    /// Fused key partitions as configured (`0` = auto).
+    /// Key partitions as configured (`0` = auto).
     pub fn partitions(&self) -> usize {
-        self.fused_partitions
+        self.partitions
     }
 
     /// Whether store-backed queries may answer from group sketches.
     pub fn sketches(&self) -> bool {
         self.sketches
-    }
-    /// The backend actually assembled: an explicit `backend` wins; the
-    /// legacy `via_yahoo_xml` flag upgrades the default to the Yahoo path.
-    pub fn effective_backend(&self) -> BackendChoice {
-        if self.backend == BackendChoice::Gazetteer && self.via_yahoo_xml {
-            BackendChoice::Yahoo
-        } else {
-            self.backend
-        }
     }
 
     /// Worker threads the schedulers actually plan for: the configured
@@ -261,7 +195,7 @@ impl PipelineConfig {
         }
     }
 
-    /// Rows per morsel the fused engine actually uses.
+    /// Rows per morsel the engine actually uses.
     pub fn effective_morsel_rows(&self) -> usize {
         if self.morsel_rows == 0 {
             DEFAULT_MORSEL_ROWS
@@ -270,13 +204,13 @@ impl PipelineConfig {
         }
     }
 
-    /// Key partitions the fused engine actually uses: explicit value, or
-    /// 4× the thread count rounded to a power of two (min 8) — a pure
-    /// function of the config, so a given config always partitions the
-    /// same way (the output is partition-count-invariant regardless).
+    /// Key partitions the engine actually uses: explicit value, or 4× the
+    /// thread count rounded to a power of two (min 8) — a pure function of
+    /// the config, so a given config always partitions the same way (the
+    /// output is partition-count-invariant regardless).
     pub fn effective_partitions(&self) -> usize {
-        if self.fused_partitions != 0 {
-            self.fused_partitions
+        if self.partitions != 0 {
+            self.partitions
         } else {
             (self.threads.max(1) * 4).next_power_of_two().clamp(8, 256)
         }
@@ -348,7 +282,6 @@ pub struct PipelineBuilder<'g> {
     partitions: Option<usize>,
 }
 
-#[allow(deprecated)] // the builder is the sanctioned writer of the config fields
 impl<'g> PipelineBuilder<'g> {
     /// Starts from the default configuration.
     pub fn new(gazetteer: &'g Gazetteer) -> Self {
@@ -373,13 +306,13 @@ impl<'g> PipelineBuilder<'g> {
         self
     }
 
-    /// Rows per morsel on the fused path (unset = auto; must be ≥ 1).
+    /// Rows per morsel (unset = auto; must be ≥ 1).
     pub fn morsel_rows(mut self, rows: usize) -> Self {
         self.morsel_rows = Some(rows);
         self
     }
 
-    /// Hash partitions for fused key emission (unset = auto; must be ≥ 1).
+    /// Hash partitions for key emission (unset = auto; must be ≥ 1).
     pub fn partitions(mut self, partitions: usize) -> Self {
         self.partitions = Some(partitions);
         self
@@ -410,30 +343,9 @@ impl<'g> PipelineBuilder<'g> {
         self
     }
 
-    /// Routes every reverse geocode through the mock Yahoo XML endpoint
-    /// (the legacy switch; prefer [`PipelineBuilder::backend`]).
-    pub fn via_yahoo_xml(mut self, on: bool) -> Self {
-        self.config.via_yahoo_xml = on;
-        self
-    }
-
-    /// Runs stages 2–3 on the staged reference path instead of the fused
-    /// engine.
-    pub fn staged(mut self) -> Self {
-        self.config.fused = false;
-        self
-    }
-
-    /// Explicitly selects the fused (true, default) or staged (false)
-    /// engine.
-    pub fn fused(mut self, fused: bool) -> Self {
-        self.config.fused = fused;
-        self
-    }
-
     /// Answers store-backed queries from per-segment group sketches when
     /// the whole store is sketch-covered (gazetteer backend only; output
-    /// stays byte-identical to the scan engines, pinned by tests). Default
+    /// stays byte-identical to the scan, pinned by tests). Default
     /// off.
     pub fn sketches(mut self, on: bool) -> Self {
         self.config.sketches = on;
@@ -454,12 +366,10 @@ impl<'g> PipelineBuilder<'g> {
         }
         match self.partitions {
             Some(0) => return Err(PipelineBuildError::ZeroPartitions),
-            Some(parts) => self.config.fused_partitions = parts,
+            Some(parts) => self.config.partitions = parts,
             None => {}
         }
-        if !self.config.fault_plan.is_quiet()
-            && self.config.effective_backend() == BackendChoice::Gazetteer
-        {
+        if !self.config.fault_plan.is_quiet() && self.config.backend == BackendChoice::Gazetteer {
             return Err(PipelineBuildError::FaultsNeedEndpoint);
         }
         Ok(self.config)
@@ -508,9 +418,9 @@ impl TimeWindow {
 /// variants of one input type; plain `Into` conversions exist for the
 /// common concrete shapes so call sites rarely name the enum.
 pub enum PipelineInput<'a> {
-    /// A stream of tweet rows (the staged engine can run on this shape).
+    /// A stream of tweet rows.
     Rows(Box<dyn Iterator<Item = TweetRow> + Send + 'a>),
-    /// A shared morsel source — always runs on the fused engine.
+    /// A shared morsel source.
     Source(&'a dyn MorselSource),
     /// A tweet store scanned in place: zero-copy header decode, scan
     /// statistics filled into [`PipelineMetrics::scan`].
@@ -556,8 +466,8 @@ impl<'a> From<&'a ShardedStore> for PipelineInput<'a> {
     }
 }
 
-/// [`HeaderBlocks`] as a [`MorselSource`]: store blocks feed the fused
-/// engine directly — each decoded header's fields go straight into the
+/// [`HeaderBlocks`] as a [`MorselSource`]: store blocks feed the engine
+/// directly — each decoded header's fields go straight into the
 /// morsel's columns (no row value of any shape in between), and the
 /// block's slot-position ordinals are exactly the input ordinals the
 /// engine's determinism argument needs.
@@ -792,86 +702,12 @@ impl<'g> RefinementPipeline<'g> {
         }
     }
 
-    /// Stages 2–3: filter and geocode tweets, build packed location keys,
-    /// group users. Fills the intake/geocode/grouping slots of `metrics`.
-    pub fn process_tweets<I>(
-        &self,
-        kept: &HashMap<u64, DistrictId>,
-        tweets: I,
-        funnel: &mut CollectionFunnel,
-        metrics: &mut PipelineMetrics,
-    ) -> Vec<GroupedUser>
-    where
-        I: IntoIterator<Item = TweetRow>,
-    {
-        // Intake: collect GPS fixes of kept users, preserving input order.
-        // One cohort probe per GPS tweet: the profile district is captured
-        // here and rides in the fix record, so the key build below never
-        // hashes the user again (the old shape probed `contains_key` here
-        // and indexed `kept[user]` there — twice per kept tweet).
-        let intake_start = Instant::now();
-        let mut fixes: Vec<Fix> = Vec::new();
-        for t in tweets {
-            funnel.tweets_total += 1;
-            if let Some(p) = t.gps {
-                funnel.tweets_with_gps += 1;
-                if let Some(&profile) = kept.get(&t.user) {
-                    fixes.push((t.user, t.tweet_id, p, profile));
-                }
-            }
-        }
-        metrics.stages.tweet_intake = intake_start.elapsed();
-
-        // Geocode every fix (parallel, deterministic by index).
-        let geocode_start = Instant::now();
-        let resolved = self.geocode_all(&fixes, funnel, &mut metrics.geocode);
-        metrics.stages.geocode = geocode_start.elapsed();
-        metrics.geocode.wall = metrics.stages.geocode;
-
-        // Build per-user packed keys in input order. Each tweet costs two
-        // table indexes and a 16-byte push — no string is hashed or cloned.
-        let grouping_start = Instant::now();
-        let mut per_user: HashMap<u64, Vec<LocationKey>> = HashMap::new();
-        for (&(user, _tweet_id, _p, profile), rec) in fixes.iter().zip(resolved) {
-            let Some(gaz_id) = rec else {
-                funnel.tweets_gps_unresolvable += 1;
-                continue;
-            };
-            funnel.strings_built += 1;
-            per_user.entry(user).or_default().push(LocationKey {
-                user,
-                profile,
-                tweet: self.gaz_to_interned[gaz_id.0 as usize],
-            });
-        }
-
-        // Group, in user-id order for determinism. Drain the map into a
-        // Vec and sort that once — the old shape sorted a key Vec and then
-        // re-hashed every user through `per_user[&u]`.
-        let mut cohort: Vec<(u64, Vec<LocationKey>)> = per_user.into_iter().collect();
-        cohort.sort_unstable_by_key(|&(user, _)| user);
-        let threads = self.config.effective_threads();
-        let (grouped, blocks_per_thread) =
-            group_cohort(&cohort, &self.interner, TieBreak::FirstSeen, threads);
-        funnel.users_final = grouped.len() as u64;
-        metrics.stages.grouping = grouping_start.elapsed();
-        metrics.grouping.strings = funnel.strings_built;
-        metrics.grouping.users = cohort.len() as u64;
-        metrics.grouping.merged_entries = grouped.iter().map(|u| u.entries.len() as u64).sum();
-        metrics.grouping.interner_size = self.interner.len() as u64;
-        metrics.grouping.threads = blocks_per_thread.len();
-        metrics.grouping.blocks_per_thread = blocks_per_thread;
-        metrics.grouping.wall = metrics.stages.grouping;
-        grouped
-    }
-
-    /// Stages 2–3 on the fused morsel-driven engine
-    /// ([`exec`](crate::pipeline::exec)): filter, geocode (batched per
+    /// Stages 2–3 on the fused morsel-driven engine ([`exec`]): filter, geocode (batched per
     /// morsel), intern, partition, and group in one parallel pass — no
-    /// fix vector, no resolved vector, no per-user key map. Output is
-    /// byte-identical to [`RefinementPipeline::process_tweets`]; metrics
-    /// additionally fill the [`PipelineMetrics::exec`] slot.
-    pub fn process_tweets_fused(
+    /// fix vector, no resolved vector, no per-user key map. Fills the
+    /// intake/geocode/grouping slots of `metrics` and the
+    /// [`PipelineMetrics::exec`] slot.
+    pub fn process_tweets(
         &self,
         kept: &HashMap<u64, DistrictId>,
         source: &dyn MorselSource,
@@ -882,7 +718,7 @@ impl<'g> RefinementPipeline<'g> {
         // The e6 coverage prescreen only applies to the in-process
         // gazetteer: remote backends have test-pinned per-lookup traffic
         // (quota days, retry counts) a skipped lookup would change.
-        let cover = match self.config.effective_backend() {
+        let cover = match self.config.backend() {
             BackendChoice::Gazetteer => Some(exec::CoverE6::korea()),
             _ => None,
         };
@@ -890,7 +726,7 @@ impl<'g> RefinementPipeline<'g> {
             source,
             &exec::FusedParams {
                 backend: backend.as_ref(),
-                choice: self.config.effective_backend(),
+                choice: self.config.backend(),
                 kept,
                 gaz_to_interned: &self.gaz_to_interned,
                 interner: &self.interner,
@@ -923,48 +759,10 @@ impl<'g> RefinementPipeline<'g> {
     /// `dyn Geocoder` — the concrete type is the builder's business.
     pub(crate) fn build_backend(&self) -> Box<dyn Geocoder + 'g> {
         GeocoderBuilder::new(self.gazetteer)
-            .backend(self.config.effective_backend())
+            .backend(self.config.backend())
             .fault_plan(self.config.fault_plan())
             .resilience(self.config.resilience())
             .build()
-    }
-
-    fn geocode_all(
-        &self,
-        fixes: &[Fix],
-        funnel: &mut CollectionFunnel,
-        metrics: &mut GeocodeMetrics,
-    ) -> Vec<ResolvedFix> {
-        metrics.fixes = fixes.len() as u64;
-        let choice = self.config.effective_backend();
-        let threads = self.config.effective_threads();
-        let parallel = threads > 1 && fixes.len() >= PARALLEL_THRESHOLD;
-        metrics.mode = match (choice, parallel) {
-            (BackendChoice::Gazetteer, false) => GeocodeMode::DirectSerial,
-            (BackendChoice::Gazetteer, true) => GeocodeMode::DirectParallel,
-            (BackendChoice::Yahoo, _) => GeocodeMode::YahooXml,
-            (BackendChoice::Resilient, _) => GeocodeMode::Resilient,
-        };
-        metrics.threads = if parallel { threads } else { 1 };
-        let backend = self.build_backend();
-        let mut out: Vec<ResolvedFix> = vec![None; fixes.len()];
-        if parallel {
-            metrics.blocks_per_thread =
-                geocode_parallel(backend.as_ref(), fixes, &mut out, threads);
-        } else {
-            for (slot, &(_, _, p, _)) in out.iter_mut().zip(fixes) {
-                *slot = resolve_one(backend.as_ref(), p);
-            }
-        }
-        // Thread the backend's traffic report into the metrics; an empty
-        // cohort never dials out, so its quota-day count is zero by
-        // construction (day accounting starts at the first lookup).
-        let traffic = backend.traffic();
-        metrics.lookups = traffic.lookups;
-        metrics.cache_hits = traffic.cache_hits;
-        metrics.traffic = traffic;
-        funnel.yahoo_quota_days = traffic.quota_days;
-        out
     }
 
     /// Runs the full pipeline on any [`PipelineInput`] — rows, a morsel
@@ -976,10 +774,8 @@ impl<'g> RefinementPipeline<'g> {
     /// pipeline.execute(profiles, &store);          // &TweetStore
     /// ```
     ///
-    /// Rows honor the fused/staged engine choice; a morsel source always
-    /// runs fused (it has no staged equivalent); a store streams scan
-    /// blocks straight into the fused engine (or decodes rows serially on
-    /// the staged path) and fills [`PipelineMetrics::scan`].
+    /// Rows are cut into morsels; a store streams scan blocks straight
+    /// into the engine and fills [`PipelineMetrics::scan`].
     pub fn execute<'a, PI>(
         &self,
         profiles: PI,
@@ -996,55 +792,19 @@ impl<'g> RefinementPipeline<'g> {
         }
     }
 
-    /// Runs the full pipeline. Stages 2–3 go through the fused morsel
-    /// engine unless the config turned it off (the staged reference path
-    /// produces byte-identical output).
-    #[deprecated(note = "use `execute(profiles, rows)` — one entry point for every input shape")]
-    pub fn run<PI, TI>(&self, profiles: PI, tweets: TI) -> AnalysisResult
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-        TI: IntoIterator<Item = TweetRow>,
-        TI::IntoIter: Send,
-    {
-        self.run_rows(profiles, tweets)
-    }
-
-    /// Runs the full pipeline with stages 2–3 fed by an arbitrary
-    /// [`MorselSource`].
-    #[deprecated(note = "use `execute(profiles, &source)` — one entry point for every input shape")]
-    pub fn run_from_source<PI>(&self, profiles: PI, source: &dyn MorselSource) -> AnalysisResult
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-    {
-        self.run_source(profiles, source)
-    }
-
     fn run_rows<PI, TI>(&self, profiles: PI, tweets: TI) -> AnalysisResult
     where
         PI: IntoIterator<Item = ProfileRow>,
         TI: IntoIterator<Item = TweetRow>,
         TI::IntoIter: Send,
     {
-        let total_start = Instant::now();
-        let mut funnel = CollectionFunnel::default();
-        let mut metrics = PipelineMetrics::default();
-        let select_start = Instant::now();
-        let kept = self.select_users_metered(profiles, &mut funnel, &mut metrics.select);
-        metrics.stages.select_users = select_start.elapsed();
-        let users = if self.config.is_fused() {
-            let source = RowSource::new(tweets.into_iter(), self.config.effective_morsel_rows());
-            self.process_tweets_fused(&kept, &source, &mut funnel, &mut metrics)
-        } else {
-            self.process_tweets(&kept, tweets, &mut funnel, &mut metrics)
-        };
-        metrics.stages.total = total_start.elapsed();
-        self.finish(funnel, users, kept, metrics)
+        let source = RowSource::new(tweets.into_iter(), self.config.effective_morsel_rows());
+        self.run_source(profiles, &source)
     }
 
-    /// The fused engine always runs on this entry (a morsel source has no
-    /// staged equivalent). This is how store-backed runs stream scan
-    /// blocks straight into the engine without ever collecting a row
-    /// vector.
+    /// Every scan entry ends here: stage 1, then the engine over `source`.
+    /// This is how store-backed runs stream scan blocks straight into the
+    /// engine without ever collecting a row vector.
     fn run_source<PI>(&self, profiles: PI, source: &dyn MorselSource) -> AnalysisResult
     where
         PI: IntoIterator<Item = ProfileRow>,
@@ -1055,7 +815,7 @@ impl<'g> RefinementPipeline<'g> {
         let select_start = Instant::now();
         let kept = self.select_users_metered(profiles, &mut funnel, &mut metrics.select);
         metrics.stages.select_users = select_start.elapsed();
-        let users = self.process_tweets_fused(&kept, source, &mut funnel, &mut metrics);
+        let users = self.process_tweets(&kept, source, &mut funnel, &mut metrics);
         metrics.stages.total = total_start.elapsed();
         self.finish(funnel, users, kept, metrics)
     }
@@ -1063,10 +823,8 @@ impl<'g> RefinementPipeline<'g> {
     /// Runs with tweets streamed out of `store`. The hand-off is zero-copy
     /// per stored record: only the fixed-field header of each record
     /// decodes — the tweet text (which the pipeline never reads) stays
-    /// untouched in the segment buffers. On the fused engine (the default)
-    /// store blocks *are* the morsels; the staged reference path streams
-    /// rows through a serial iterator instead. Scan statistics land in the
-    /// result's [`PipelineMetrics::scan`] slot either way.
+    /// untouched in the segment buffers. Store blocks *are* the morsels;
+    /// scan statistics land in the result's [`PipelineMetrics::scan`] slot.
     fn run_store<PI>(&self, profiles: PI, store: &TweetStore) -> AnalysisResult
     where
         PI: IntoIterator<Item = ProfileRow>,
@@ -1077,77 +835,29 @@ impl<'g> RefinementPipeline<'g> {
                 return self.run_sketched(profiles, &plan, &sketch::SketchWindow::All, stats);
             }
         }
-        if self.config.is_fused() {
-            let source = StoreSource {
-                blocks: HeaderBlocks::new(store, self.config.effective_morsel_rows()),
-            };
-            let mut result = self.run_source(profiles, &source);
-            let exec = result.metrics.exec.as_ref();
-            result.metrics.scan = Some(ScanMetrics {
-                segments_total: stats.segments as u64,
-                segments_pruned: 0,
-                records_stored: stats.records,
-                records_pruned: 0,
-                headers_decoded: source.blocks.headers_decoded(),
-                records_rejected: 0,
-                records_yielded: source.blocks.headers_decoded(),
-                records_corrupt: source.blocks.records_corrupt(),
-                bytes_stored: stats.payload_bytes,
-                bytes_decoded: source.blocks.bytes_decoded(),
-                segments_row: source.blocks.segments_row(),
-                segments_col: source.blocks.segments_col(),
-                col_bytes_read: source.blocks.col_bytes_read(),
-                row_bytes_equiv: source.blocks.row_bytes_equiv(),
-                threads: exec.map_or(1, |e| e.threads),
-                blocks_per_thread: exec.map_or_else(Vec::new, |e| e.morsels_per_thread.clone()),
-                // The scan is fused into the pass: the filter operator's
-                // time is the closest honest measure of it.
-                wall: result.metrics.stages.tweet_intake,
-                per_shard: Vec::new(),
-                ..Default::default()
-            });
-            return result;
-        }
-        let headers = AtomicU64::new(0);
-        let header_bytes = AtomicU64::new(0);
-        let corrupt = AtomicU64::new(0);
-        let tweets = store.scan_views().filter_map(|r| match r {
-            Ok(v) => {
-                headers.fetch_add(1, Ordering::Relaxed);
-                header_bytes.fetch_add(v.header_len() as u64, Ordering::Relaxed);
-                Some(TweetRow {
-                    user: v.header.user,
-                    tweet_id: v.header.id,
-                    gps: v.header.gps,
-                })
-            }
-            Err(_) => {
-                corrupt.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        });
-        let mut result = self.run_rows(profiles, tweets);
-        let seg_col = store.segments().iter().filter(|s| s.is_columnar()).count() as u64;
+        let source = StoreSource {
+            blocks: HeaderBlocks::new(store, self.config.effective_morsel_rows()),
+        };
+        let mut result = self.run_source(profiles, &source);
+        let exec = result.metrics.exec.as_ref();
         result.metrics.scan = Some(ScanMetrics {
             segments_total: stats.segments as u64,
             segments_pruned: 0,
             records_stored: stats.records,
             records_pruned: 0,
-            headers_decoded: headers.load(Ordering::Relaxed),
+            headers_decoded: source.blocks.headers_decoded(),
             records_rejected: 0,
-            records_yielded: headers.load(Ordering::Relaxed),
-            records_corrupt: corrupt.load(Ordering::Relaxed),
+            records_yielded: source.blocks.headers_decoded(),
+            records_corrupt: source.blocks.records_corrupt(),
             bytes_stored: stats.payload_bytes,
-            bytes_decoded: header_bytes.load(Ordering::Relaxed),
-            segments_row: stats.segments as u64 - seg_col,
-            segments_col: seg_col,
-            // The staged path materializes per-record views either way;
-            // the column/row byte split is tracked on the fused path only.
-            col_bytes_read: 0,
-            row_bytes_equiv: 0,
-            threads: 1,
-            blocks_per_thread: vec![stats.segments as u64],
-            // The scan is interleaved with intake: the intake stage's wall
+            bytes_decoded: source.blocks.bytes_decoded(),
+            segments_row: source.blocks.segments_row(),
+            segments_col: source.blocks.segments_col(),
+            col_bytes_read: source.blocks.col_bytes_read(),
+            row_bytes_equiv: source.blocks.row_bytes_equiv(),
+            threads: exec.map_or(1, |e| e.threads),
+            blocks_per_thread: exec.map_or_else(Vec::new, |e| e.morsels_per_thread.clone()),
+            // The scan is fused into the pass: the filter operator's
             // time is the closest honest measure of it.
             wall: result.metrics.stages.tweet_intake,
             per_shard: Vec::new(),
@@ -1156,13 +866,12 @@ impl<'g> RefinementPipeline<'g> {
         result
     }
 
-    /// Runs with tweets streamed out of a sharded store. The fused engine
-    /// consumes the cross-shard morsel source (shard-by-shard blocks with
-    /// cumulative ordinal bases); the staged reference path chains the
-    /// shards' serial scans in the same order. Either way the output is
-    /// byte-identical to the equivalent single-store run — placement is
-    /// per-user and so is every ordering the engine depends on — and
-    /// [`PipelineMetrics::scan`] gains one row per shard.
+    /// Runs with tweets streamed out of a sharded store through the
+    /// cross-shard morsel source (shard-by-shard blocks with cumulative
+    /// ordinal bases). The output is byte-identical to the equivalent
+    /// single-store run — placement is per-user and so is every ordering
+    /// the engine depends on — and [`PipelineMetrics::scan`] gains one row
+    /// per shard.
     fn run_shards<PI>(&self, profiles: PI, store: &ShardedStore) -> AnalysisResult
     where
         PI: IntoIterator<Item = ProfileRow>,
@@ -1173,106 +882,45 @@ impl<'g> RefinementPipeline<'g> {
                 return self.run_sketched(profiles, &plan, &sketch::SketchWindow::All, stats);
             }
         }
-        let per_shard_rows = |bytes: &[u64]| -> Vec<ShardScanMetrics> {
-            store
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(i, shard)| {
-                    let st = shard.stats();
-                    ShardScanMetrics {
-                        shard: i as u32,
-                        segments_total: st.segments as u64,
-                        segments_pruned: 0,
-                        records_stored: st.records,
-                        records_pruned: 0,
-                        bytes_decoded: bytes.get(i).copied().unwrap_or(0),
-                        wal: store.recovery()[i],
-                    }
-                })
-                .collect()
+        let source = ShardedSource {
+            blocks: ShardedHeaderBlocks::new(store, self.config.effective_morsel_rows()),
         };
-        if self.config.is_fused() {
-            let source = ShardedSource {
-                blocks: ShardedHeaderBlocks::new(store, self.config.effective_morsel_rows()),
-            };
-            let mut result = self.run_source(profiles, &source);
-            let exec = result.metrics.exec.as_ref();
-            let shard_bytes: Vec<u64> = source
-                .blocks
-                .per_shard()
-                .iter()
-                .map(|p| p.bytes_decoded)
-                .collect();
-            result.metrics.scan = Some(ScanMetrics {
-                segments_total: stats.segments as u64,
-                records_stored: stats.records,
-                headers_decoded: source.blocks.headers_decoded(),
-                records_yielded: source.blocks.headers_decoded(),
-                records_corrupt: source.blocks.records_corrupt(),
-                bytes_stored: stats.payload_bytes,
-                bytes_decoded: source.blocks.bytes_decoded(),
-                segments_row: source.blocks.segments_row(),
-                segments_col: source.blocks.segments_col(),
-                col_bytes_read: source.blocks.col_bytes_read(),
-                row_bytes_equiv: source.blocks.row_bytes_equiv(),
-                threads: exec.map_or(1, |e| e.threads),
-                blocks_per_thread: exec.map_or_else(Vec::new, |e| e.morsels_per_thread.clone()),
-                wall: result.metrics.stages.tweet_intake,
-                per_shard: per_shard_rows(&shard_bytes),
-                ..Default::default()
-            });
-            return result;
-        }
-        let headers = AtomicU64::new(0);
-        let shard_bytes: Vec<AtomicU64> = (0..store.shard_count())
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let corrupt = AtomicU64::new(0);
-        let tweets = store.shards().iter().enumerate().flat_map(|(i, shard)| {
-            let shard_bytes = &shard_bytes;
-            let headers = &headers;
-            let corrupt = &corrupt;
-            shard.scan_views().filter_map(move |r| match r {
-                Ok(v) => {
-                    headers.fetch_add(1, Ordering::Relaxed);
-                    shard_bytes[i].fetch_add(v.header_len() as u64, Ordering::Relaxed);
-                    Some(TweetRow {
-                        user: v.header.user,
-                        tweet_id: v.header.id,
-                        gps: v.header.gps,
-                    })
-                }
-                Err(_) => {
-                    corrupt.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            })
-        });
-        let mut result = self.run_rows(profiles, tweets);
-        let bytes: Vec<u64> = shard_bytes
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let seg_col: u64 = store
+        let mut result = self.run_source(profiles, &source);
+        let exec = result.metrics.exec.as_ref();
+        let per_shard = store
             .shards()
             .iter()
-            .map(|s| s.segments().iter().filter(|g| g.is_columnar()).count() as u64)
-            .sum();
+            .zip(source.blocks.per_shard())
+            .enumerate()
+            .map(|(i, (shard, scanned))| {
+                let st = shard.stats();
+                ShardScanMetrics {
+                    shard: i as u32,
+                    segments_total: st.segments as u64,
+                    segments_pruned: 0,
+                    records_stored: st.records,
+                    records_pruned: 0,
+                    bytes_decoded: scanned.bytes_decoded,
+                    wal: store.recovery()[i],
+                }
+            })
+            .collect();
         result.metrics.scan = Some(ScanMetrics {
             segments_total: stats.segments as u64,
             records_stored: stats.records,
-            headers_decoded: headers.load(Ordering::Relaxed),
-            records_yielded: headers.load(Ordering::Relaxed),
-            records_corrupt: corrupt.load(Ordering::Relaxed),
+            headers_decoded: source.blocks.headers_decoded(),
+            records_yielded: source.blocks.headers_decoded(),
+            records_corrupt: source.blocks.records_corrupt(),
             bytes_stored: stats.payload_bytes,
-            bytes_decoded: bytes.iter().sum(),
-            segments_row: stats.segments as u64 - seg_col,
-            segments_col: seg_col,
-            threads: 1,
-            blocks_per_thread: vec![stats.segments as u64],
+            bytes_decoded: source.blocks.bytes_decoded(),
+            segments_row: source.blocks.segments_row(),
+            segments_col: source.blocks.segments_col(),
+            col_bytes_read: source.blocks.col_bytes_read(),
+            row_bytes_equiv: source.blocks.row_bytes_equiv(),
+            threads: exec.map_or(1, |e| e.threads),
+            blocks_per_thread: exec.map_or_else(Vec::new, |e| e.morsels_per_thread.clone()),
             wall: result.metrics.stages.tweet_intake,
-            per_shard: per_shard_rows(&bytes),
+            per_shard,
             ..Default::default()
         });
         result
@@ -1283,14 +931,14 @@ impl<'g> RefinementPipeline<'g> {
     /// backend is the in-process gazetteer (remote backends have pinned
     /// per-lookup traffic a skipped scan would change).
     pub(crate) fn sketch_fingerprint(&self) -> Option<u64> {
-        (self.config.sketches() && self.config.effective_backend() == BackendChoice::Gazetteer)
+        (self.config.sketches() && self.config.backend() == BackendChoice::Gazetteer)
             .then(|| sketch::gazetteer_fingerprint(self.gazetteer))
     }
 
     /// Runs a sketch-complete query: stage 1 as usual, then the delta
     /// merge over per-segment sketches plus a record-wise pass over the
     /// residue (open tails; boundary buckets of non-aligned windows).
-    /// Output is byte-identical to the scan engines over the same window;
+    /// Output is byte-identical to the scan over the same window;
     /// the sketch counters land in both [`PipelineMetrics::exec`] and
     /// [`PipelineMetrics::scan`].
     fn run_sketched<PI>(
@@ -1399,7 +1047,7 @@ impl<'g> RefinementPipeline<'g> {
     /// from per-segment day buckets and only the open tail plus any
     /// boundary buckets are scanned — cost scales with touched buckets,
     /// not corpus size. Otherwise the store is scanned with a timestamp
-    /// filter and the configured engine runs on the surviving rows, so
+    /// filter and the engine runs on the surviving rows, so
     /// both paths return byte-identical results (pinned by proptests).
     pub fn execute_windowed<PI>(
         &self,
@@ -1458,7 +1106,7 @@ impl<'g> RefinementPipeline<'g> {
         self.run_rows(profiles, tweets)
     }
 
-    /// Shared tail of the `run*` entry points: resolve the interned
+    /// Shared tail of the `run_*` entry points: resolve the interned
     /// profile districts to strings once, at the boundary — downstream
     /// consumers keep their published String view.
     fn finish(
@@ -1488,64 +1136,8 @@ impl<'g> RefinementPipeline<'g> {
 /// unresolvable fix (the resilient backend never errors — its fallback
 /// chain absorbs failures; the raw Yahoo backend can, e.g. on an injected
 /// rate-limit burst).
-pub(crate) fn resolve_one(backend: &dyn Geocoder, p: Point) -> ResolvedFix {
+pub(crate) fn resolve_one(backend: &dyn Geocoder, p: Point) -> Option<GazDistrictId> {
     backend.resolve_id(p).ok().flatten()
-}
-
-/// Fans the geocode stage out over `threads` workers with a dynamic block
-/// scheduler: an atomic cursor hands out [`GEOCODE_BLOCK`]-sized index
-/// ranges, each worker geocodes its range into a thread-local buffer, and
-/// the buffers land in `out` by input index — so the output is byte-for-byte
-/// the serial result regardless of interleaving. Works for any backend:
-/// [`Geocoder`] is `Sync`, so even the XML endpoint (atomics since the
-/// `Cell` fix) can be driven from many threads. Returns the number of
-/// blocks each worker completed (the scheduler-balance signal surfaced in
-/// [`GeocodeMetrics::blocks_per_thread`]).
-fn geocode_parallel(
-    backend: &dyn Geocoder,
-    fixes: &[Fix],
-    out: &mut [ResolvedFix],
-    threads: usize,
-) -> Vec<u64> {
-    // Block size shrinks for small inputs so every thread gets work, but
-    // never below a granule that keeps cursor traffic negligible.
-    let block = (fixes.len().div_ceil(threads * 4)).clamp(64, GEOCODE_BLOCK);
-    let cursor = AtomicUsize::new(0);
-    let mut per_thread_blocks = vec![0u64; threads];
-    std::thread::scope(|s| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            workers.push(s.spawn(move || {
-                let mut parts: Vec<(usize, Vec<ResolvedFix>)> = Vec::new();
-                let mut blocks = 0u64;
-                loop {
-                    let start = cursor.fetch_add(block, Ordering::Relaxed);
-                    if start >= fixes.len() {
-                        break;
-                    }
-                    let end = (start + block).min(fixes.len());
-                    let mut resolved = Vec::with_capacity(end - start);
-                    for &(_, _, p, _) in &fixes[start..end] {
-                        resolved.push(resolve_one(backend, p));
-                    }
-                    blocks += 1;
-                    parts.push((start, resolved));
-                }
-                (parts, blocks)
-            }));
-        }
-        for (t, worker) in workers.into_iter().enumerate() {
-            let (parts, blocks) = worker.join().expect("geocode worker panicked");
-            per_thread_blocks[t] = blocks;
-            for (start, resolved) in parts {
-                for (slot, value) in out[start..start + resolved.len()].iter_mut().zip(resolved) {
-                    *slot = value;
-                }
-            }
-        }
-    });
-    per_thread_blocks
 }
 
 #[cfg(test)]
@@ -1620,7 +1212,7 @@ mod tests {
         };
         let direct = RefinementPipeline::with_defaults(g).execute(profiles(), tweets());
         let via_xml = PipelineBuilder::new(g)
-            .via_yahoo_xml(true)
+            .backend(BackendChoice::Yahoo)
             .threads(1)
             .build()
             .unwrap()
@@ -1697,7 +1289,6 @@ mod tests {
             v
         };
         let serial = PipelineBuilder::new(g)
-            .via_yahoo_xml(false)
             .threads(1)
             .build()
             .unwrap()
@@ -1707,7 +1298,6 @@ mod tests {
         // on a small CI machine. Morsels shrink so 8 workers have ≥ 8
         // morsels of initial work (1200 rows / 128 = 10 morsels).
         let parallel = PipelineBuilder::new(g)
-            .via_yahoo_xml(false)
             .threads(8)
             .threads_exact(true)
             .morsel_rows(128)
@@ -1741,7 +1331,7 @@ mod tests {
     fn empty_cohort_consumes_no_quota_days() {
         let g = gaz();
         let pipe = PipelineBuilder::new(g)
-            .via_yahoo_xml(true)
+            .backend(BackendChoice::Yahoo)
             .threads(1)
             .build()
             .unwrap();
@@ -1757,7 +1347,7 @@ mod tests {
 
         // And a run that does geocode reports at least one simulated day.
         let busy = PipelineBuilder::new(g)
-            .via_yahoo_xml(true)
+            .backend(BackendChoice::Yahoo)
             .threads(1)
             .build()
             .unwrap()
@@ -1956,41 +1546,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_engine_is_byte_identical_to_staged_reference() {
-        let g = gaz();
-        let (profiles, tweets) = mixed_corpus();
-        let staged = PipelineBuilder::new(g).staged().threads(1).build().unwrap();
-        let reference = staged.execute(profiles.clone(), tweets.clone());
-        assert!(reference.metrics.exec.is_none());
-        for threads in [1, 2, 8] {
-            for morsel_rows in [1, 7, 4096] {
-                for fused_partitions in [1, 3, 16] {
-                    let fused = PipelineBuilder::new(g)
-                        .threads(threads)
-                        .morsel_rows(morsel_rows)
-                        .partitions(fused_partitions)
-                        .build()
-                        .unwrap();
-                    let got = fused.execute(profiles.clone(), tweets.clone());
-                    assert_identical(&got, &reference);
-                    let exec = got.metrics.exec.as_ref().expect("fused fills exec");
-                    assert_eq!(exec.morsel_rows, morsel_rows);
-                    assert_eq!(exec.partitions_configured, fused_partitions);
-                    assert_eq!(exec.threads_ceiling, threads.max(1));
-                    // Executed geometry never exceeds the configured one.
-                    assert!(exec.threads <= threads.max(1));
-                    assert!(exec.partitions <= fused_partitions.max(1));
-                    assert_eq!(exec.rows_in, got.funnel.tweets_total);
-                    assert_eq!(
-                        exec.partition_keys.iter().sum::<u64>(),
-                        got.funnel.strings_built
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fused_probes_the_cohort_exactly_once_per_gps_tweet() {
         let g = gaz();
         let pipe = RefinementPipeline::with_defaults(g);
@@ -1998,8 +1553,8 @@ mod tests {
         let result = pipe.execute(profiles, tweets);
         let exec = result.metrics.exec.as_ref().expect("fused fills exec");
         // One probe per GPS row — the profile district rides in the
-        // pending record instead of being re-fetched at key build (the
-        // old staged shape would have probed gps + fixes times).
+        // pending record instead of being re-fetched at key build (a
+        // two-pass shape would probe gps + fixes times).
         assert_eq!(exec.kept_probes, result.funnel.tweets_with_gps);
         assert!(exec.kept_probes < result.funnel.tweets_total);
         assert_eq!(exec.fixes, exec.keys_emitted + exec.unresolved);
@@ -2024,9 +1579,8 @@ mod tests {
         assert_eq!(exec.partitions, exec.partitions_configured);
         assert_eq!(result.metrics.geocode.mode, GeocodeMode::DirectSerial);
         assert!(result.metrics.geocode.blocks_per_thread.is_empty());
-        // Memory estimates are filled and favour the fused shape.
+        // The memory estimate is filled.
         assert!(exec.peak_bytes_estimate > 0);
-        assert!(exec.staged_bytes_estimate > 0);
     }
 
     #[test]
@@ -2142,7 +1696,7 @@ mod tests {
         assert_eq!(funnel.users_foreign, 10, "foreign coordinates");
         assert_eq!(funnel.users_empty, 10);
         assert_eq!(kept.len(), 20);
-        // The metered entry is what run() uses, so results agree with the
+        // The metered entry is what execute() uses, so results agree with the
         // plain wrapper.
         let mut funnel2 = CollectionFunnel::default();
         let kept2 = pipe.select_users(profiles, &mut funnel2);
@@ -2159,22 +1713,6 @@ mod tests {
         let source = RowSource::new(tweets.into_iter(), 3);
         let by_source = pipe.execute(profiles, PipelineInput::Source(&source));
         assert_identical(&by_rows, &by_source);
-    }
-
-    /// The deprecated entry points must keep forwarding to `execute` —
-    /// callers on the old API get the new engine, byte for byte.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_shims_forward_to_execute() {
-        let g = gaz();
-        let pipe = RefinementPipeline::with_defaults(g);
-        let (profiles, tweets) = mixed_corpus();
-        let by_execute = pipe.execute(profiles.clone(), tweets.clone());
-        let by_run = pipe.run(profiles.clone(), tweets.clone());
-        assert_identical(&by_execute, &by_run);
-        let source = RowSource::new(tweets.into_iter(), 3);
-        let by_source_shim = pipe.run_from_source(profiles, &source);
-        assert_identical(&by_execute, &by_source_shim);
     }
 
     /// Zero-valued knobs are rejected at `build()` instead of surfacing as

@@ -1,9 +1,8 @@
 //! The fused, morsel-driven execution engine (stages 2–3 in one pass).
 //!
-//! The staged reference path runs the paper's §III pipeline as four
-//! barrier-separated stages, materializing a fix vector, a resolved
-//! vector, and a per-user key map between them — two of those stages
-//! serial. This engine fuses them: tweet rows stream in fixed-size
+//! The paper's §III pipeline reads as four barrier-separated stages —
+//! filter, geocode, build strings, group — each materializing its output
+//! for the next. This engine fuses them: tweet rows stream in fixed-size
 //! **columnar morsels** handed out by a work-stealing source, and each
 //! worker runs filter → GPS check → kept-user probe → bbox prescreen →
 //! batched geocode → intern → [`LocationKey`] emission in one pass.
@@ -42,12 +41,13 @@
 //! row). Each partition then sorts by `(user, ordinal)`: ordinals are
 //! unique, so the sort key is a strict total order and the result is
 //! independent of worker interleaving; within a user the keys come out in
-//! tweet input order, which is exactly the sequence the staged path feeds
-//! the grouping kernel. Partitions group in parallel through
+//! tweet input order, which is exactly the sequence the paper-literal
+//! string oracle (`stir_core::string` + [`crate::grouping::group_user_strings`])
+//! groups. Partitions group in parallel through
 //! [`group_partition`] (the PR-3 merge engine) and concatenate +
 //! user-id-sort at the end — users are unique across partitions, so the
 //! final order is deterministic too. Funnel counters are order-independent
-//! sums. The output is therefore byte-identical to the staged path at
+//! sums. The output is therefore byte-identical to the string oracle at
 //! every thread/morsel/partition geometry, which the property tests pin.
 //!
 //! **Fallback.** Below [`FUSED_PARALLEL_THRESHOLD`] buffered rows (or at
@@ -75,8 +75,7 @@ use crate::intern::{DistrictId, DistrictInterner, LocationKey};
 use crate::metrics::{ExecMetrics, ExecMode, GeocodeMode, PipelineMetrics};
 
 /// Below this many prefetched rows the fused pass stays on the calling
-/// thread — same rationale (and value) as the staged geocode stage's
-/// spawn threshold.
+/// thread: the thread-spawn overhead would outweigh the fan-out.
 pub const FUSED_PARALLEL_THRESHOLD: usize = 1024;
 
 /// Serial warmup morsels the adaptive scheduler samples before deciding
@@ -381,12 +380,8 @@ pub(crate) struct FusedParams<'a> {
 /// `(ordinal, user, profile district)`.
 type Pending = (u64, u64, DistrictId);
 
-/// One batched-geocode answer (per-point, like the staged path's).
+/// One batched-geocode answer (per point).
 type Resolved = Result<Option<GazDistrictId>, GeocodeError>;
-
-/// The staged path's fix record — referenced here only to estimate, from
-/// the fused pass's counters, what the reference path would have held.
-type StagedFix = (u64, u64, Point, DistrictId);
 
 /// Counters one worker accumulates over its morsels.
 #[derive(Default)]
@@ -689,8 +684,7 @@ pub fn warmup_collapse(workers: usize, serial: &ExecMetrics, parallel: &ExecMetr
 
 /// Runs stages 2–3 fused: one morsel-driven pass from `source` to grouped
 /// users. Fills the funnel's tweet counters, the geocode/grouping metric
-/// slots (so staged-path consumers see the same fields filled), and the
-/// [`ExecMetrics`] slot.
+/// slots, and the [`ExecMetrics`] slot.
 pub(crate) fn run_fused(
     source: &dyn MorselSource,
     p: &FusedParams<'_>,
@@ -928,25 +922,17 @@ pub(crate) fn run_fused(
     }
     let pair = size_of::<(u64, LocationKey)>() as u64;
     exec.peak_bytes_estimate = exec.keys_emitted * pair + buffer_bytes;
-    // What the staged path materializes for the same input: the fix
-    // vector, the same-length resolved vector, and the per-user key map
-    // (keys + per-user Vec headers + map-slot overhead).
     let users = grouped.len() as u64;
-    exec.staged_bytes_estimate = exec.fixes
-        * (size_of::<StagedFix>() + size_of::<Option<GazDistrictId>>()) as u64
-        + exec.keys_emitted * size_of::<LocationKey>() as u64
-        + users * (size_of::<(u64, Vec<LocationKey>)>() as u64 + 16);
 
     // Funnel: order-independent sums, so the parallel pass lands the same
-    // totals as the staged loop.
+    // totals as a serial walk.
     funnel.tweets_total += exec.rows_in;
     funnel.tweets_with_gps += exec.gps_rows;
     funnel.tweets_gps_unresolvable += exec.unresolved;
     funnel.strings_built += exec.keys_emitted;
     funnel.users_final = users;
 
-    // Geocode metrics: same fields the staged path fills, plus the
-    // backend's exact traffic partition.
+    // Geocode metrics, plus the backend's exact traffic partition.
     metrics.geocode.fixes = exec.fixes;
     metrics.geocode.mode = match (p.choice, workers > 1) {
         (BackendChoice::Gazetteer, false) => GeocodeMode::DirectSerial,
@@ -972,7 +958,7 @@ pub(crate) fn run_fused(
     metrics.stages.geocode = phase1_wall;
     metrics.geocode.wall = phase1_wall;
 
-    // Grouping metrics, shaped like the staged path's.
+    // Grouping metrics.
     metrics.stages.grouping = grouping_wall;
     metrics.grouping.strings = exec.keys_emitted;
     metrics.grouping.users = users;

@@ -10,7 +10,7 @@
 //!   [`gazetteer_fingerprint`], the vocabulary hash embedded in every
 //!   sketch so a sketch built under one district table is never merged
 //!   under another.
-//! * The delta-merge query engine ([`SketchPlan`] / [`execute_plan`]) —
+//! * The delta-merge query engine (`SketchPlan` / `execute_plan`) —
 //!   k-way merges per-segment sketches for the kept cohort, scans only
 //!   the open tail (and, for non-day-aligned windows, the boundary
 //!   buckets' records), and reassembles per-user merged

@@ -1,5 +1,6 @@
-//! Proves the interned merge loop allocates nothing per tweet and the
-//! bootstrap nothing per resample or per user.
+//! Proves the interned merge loop allocates nothing per tweet, a warm
+//! session ingest nothing at all, and the bootstrap nothing per resample
+//! or per user.
 //!
 //! A counting global allocator wraps the system one; each test runs the
 //! same stage at two sizes orders of magnitude apart and asserts the
@@ -13,7 +14,7 @@ use std::cell::Cell;
 
 use stir_core::grouping::MergedEntry;
 use stir_core::intern::{DistrictInterner, LocationKey};
-use stir_core::{group_user_keys_with, user_share_cis, GroupedUser, TieBreak};
+use stir_core::{group_user_keys_with, user_share_cis, GroupedUser, ProfileRow, TieBreak};
 
 struct CountingAllocator;
 
@@ -102,38 +103,49 @@ fn merge_loop_allocation_count_is_independent_of_tweet_count() {
 }
 
 #[test]
-fn warm_online_push_key_and_rank_queries_are_allocation_free() {
-    use stir_core::{OnlineGrouping, TieBreak as Tb};
+fn warm_session_ingest_and_rank_queries_are_allocation_free() {
+    use stir_core::{AnalysisSession, RefinementPipeline};
+    use stir_geoindex::Point;
+    use stir_geokr::Gazetteer;
 
-    let mut og = OnlineGrouping::with_tie_break(Tb::FirstSeen);
-    let profile = og.intern_district("Seoul", "District-0");
-    let districts: Vec<_> = (0..8)
-        .map(|d| og.intern_district("Seoul", &format!("District-{d}")))
-        .collect();
-    // Warm-up: visit every district once so each user's merged list has
-    // reached its final length (and the HashMap its final capacity).
+    let g = Gazetteer::load();
+    let profiles = (0..16u64).map(|user| ProfileRow {
+        user,
+        location_text: "Seoul Yangcheon-gu".into(),
+    });
+    let mut session = AnalysisSession::new(RefinementPipeline::with_defaults(&g), profiles);
+    // Yangcheon-gu, Gangnam-gu, Busan Jung-gu.
+    let districts = [
+        Point::new(37.517, 126.866),
+        Point::new(37.517, 127.047),
+        Point::new(35.106, 129.032),
+    ];
+    // Warm-up: every user tweets from every district on day 0, so each
+    // merged list and day bucket has reached its final length, every
+    // point sits in the geocoder cache, and the maps their final capacity.
     for user in 0..16u64 {
-        for &d in &districts {
-            og.push_key(og.key(user, profile, d));
+        for (i, &p) in districts.iter().enumerate() {
+            session.ingest(user, i as u64, Some(p));
         }
     }
+    assert_eq!(session.users_live(), 16);
 
-    // Steady state: 50k pushes + a rank query each, zero heap traffic.
-    // This is the regression the deprecated string shim motivated — the
-    // old path cloned `(String, String)` per matched-rank lookup.
-    let (_, allocs) = allocations_during(|| {
+    // Steady state: 50k ingests into already-open days plus a rank query
+    // each, zero heap traffic.
+    let (last, allocs) = allocations_during(|| {
         let mut last = None;
         for i in 0..50_000u64 {
             let user = i % 16;
-            let d = districts[(i % districts.len() as u64) as usize];
-            og.push_key(og.key(user, profile, d));
-            last = og.group_of(user);
+            let p = districts[(i % districts.len() as u64) as usize];
+            session.ingest(user, i % 86_400, Some(p));
+            last = session.group_of(user);
         }
         last
     });
+    assert!(last.is_some());
     assert_eq!(
         allocs, 0,
-        "warm push_key/group_of allocated {allocs} times over 50k updates"
+        "warm ingest/group_of allocated {allocs} times over 50k tweets"
     );
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end pins for the sharded store as a pipeline input: the full
-//! refinement pipeline over a user-hash-sharded store — fused or staged,
-//! fresh or rebuilt from torn-tail WAL recovery on every shard — must
+//! refinement pipeline over a user-hash-sharded store — fresh or rebuilt
+//! from torn-tail WAL recovery on every shard — must
 //! produce exactly the result the single-store (and row-fed) runs do.
 
 use stir_core::{PipelineBuilder, ProfileRow};
@@ -64,23 +64,21 @@ fn sharded_store_pipeline_matches_single_store() {
     for r in &recs {
         single.append(r);
     }
-    for fused in [true, false] {
-        let pipeline = PipelineBuilder::new(g).fused(fused).build().unwrap();
-        let reference = pipeline.execute(profiles(), &single);
-        for shards in [1usize, 2, 7, 16] {
-            let mut sharded = ShardedStore::new(shards);
-            for r in &recs {
-                sharded.append(r);
-            }
-            let got = pipeline.execute(profiles(), &sharded);
-            assert_identical(&got, &reference, &format!("shards={shards} fused={fused}"));
-            let scan = got.metrics.scan.expect("sharded run reports scan metrics");
-            assert_eq!(scan.per_shard.len(), shards, "one metrics row per shard");
-            assert_eq!(
-                scan.per_shard.iter().map(|s| s.records_stored).sum::<u64>(),
-                recs.len() as u64
-            );
+    let pipeline = PipelineBuilder::new(g).build().unwrap();
+    let reference = pipeline.execute(profiles(), &single);
+    for shards in [1usize, 2, 7, 16] {
+        let mut sharded = ShardedStore::new(shards);
+        for r in &recs {
+            sharded.append(r);
         }
+        let got = pipeline.execute(profiles(), &sharded);
+        assert_identical(&got, &reference, &format!("shards={shards}"));
+        let scan = got.metrics.scan.expect("sharded run reports scan metrics");
+        assert_eq!(scan.per_shard.len(), shards, "one metrics row per shard");
+        assert_eq!(
+            scan.per_shard.iter().map(|s| s.records_stored).sum::<u64>(),
+            recs.len() as u64
+        );
     }
 }
 

@@ -23,10 +23,8 @@ pub struct Options {
     /// Obey `--threads` exactly (`--threads-exact`): skip the adaptive
     /// availability cap and warmup collapse. Bench escape hatch.
     pub threads_exact: bool,
-    /// Route geocoding through the mock Yahoo XML endpoint (legacy spelling
-    /// of `--backend yahoo`).
-    pub via_yahoo_xml: bool,
-    /// Geocoding backend (`--backend {gazetteer,yahoo,resilient}`).
+    /// Geocoding backend (`--backend {gazetteer,yahoo,resilient}`;
+    /// `--via-yahoo-xml` is another spelling of `--backend yahoo`).
     pub backend: BackendChoice,
     /// Fault schedule injected at the Yahoo endpoint (`--faults <spec>`).
     pub faults: FaultPlan,
@@ -44,10 +42,6 @@ pub struct Options {
     /// columnar `STIRSEG2` segments and scans them through the direct
     /// column path. Figure output is byte-identical either way.
     pub store_format: StoreFormat,
-    /// Run the staged reference pipeline instead of the fused
-    /// morsel-driven engine (`--staged`). Figure output is byte-identical
-    /// either way; the flag exists to prove exactly that.
-    pub staged: bool,
     /// With `--from-store`: install the gazetteer sketcher on the store so
     /// every sealed segment materializes a group sketch, and let the
     /// pipeline answer from the sketch delta merge plus a tail scan
@@ -67,14 +61,12 @@ impl Default for Options {
             scale: 0.1,
             threads: 8,
             threads_exact: false,
-            via_yahoo_xml: false,
             backend: BackendChoice::default(),
             faults: FaultPlan::default(),
             verbose: false,
             from_store: false,
             shards: 1,
             store_format: StoreFormat::V1,
-            staged: false,
             sketches: false,
             restore_midway: false,
         }
@@ -105,19 +97,25 @@ pub fn lady_gaga_spec(opts: &Options) -> DatasetSpec {
     DatasetSpec::lady_gaga_paper().scaled(opts.scale)
 }
 
-/// Builds the refinement pipeline every experiment shares, from the CLI
-/// options (backend, faults, threading, fused/staged engine).
-pub fn pipeline(gazetteer: &'static Gazetteer, opts: &Options) -> RefinementPipeline<'static> {
+/// The pipeline builder every experiment starts from, carrying the CLI
+/// options (backend, faults, threading, sketches). `parse` validates the
+/// options through this same builder, so experiments never see a config
+/// the builder rejects.
+pub fn pipeline_builder(gazetteer: &'static Gazetteer, opts: &Options) -> PipelineBuilder<'static> {
     PipelineBuilder::new(gazetteer)
-        .via_yahoo_xml(opts.via_yahoo_xml)
         .backend(opts.backend)
         .faults(opts.faults)
         .threads(opts.threads)
         .threads_exact(opts.threads_exact)
-        .fused(!opts.staged)
         .sketches(opts.sketches)
+}
+
+/// Builds the refinement pipeline every experiment shares, from the CLI
+/// options.
+pub fn pipeline(gazetteer: &'static Gazetteer, opts: &Options) -> RefinementPipeline<'static> {
+    pipeline_builder(gazetteer, opts)
         .build()
-        .expect("experiment options form a valid pipeline config")
+        .expect("options are validated at parse")
 }
 
 /// Generates a dataset and runs the full refinement pipeline on it.

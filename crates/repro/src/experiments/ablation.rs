@@ -8,12 +8,10 @@
 //! inflates and the None group deflates — the analysis stops measuring
 //! intra-city mobility at all.
 
-use stir_core::{
-    Granularity, GroupTable, PipelineBuilder, PipelineInput, ProfileRow, TopKGroup, TweetRow,
-};
+use stir_core::{Granularity, GroupTable, PipelineInput, ProfileRow, TopKGroup, TweetRow};
 use stir_twitter_sim::datasets::Dataset;
 
-use crate::context::{gazetteer, korean_spec, Options};
+use crate::context::{gazetteer, korean_spec, pipeline_builder, Options};
 
 /// Runs the ablation.
 pub fn run(opts: &Options) {
@@ -29,14 +27,10 @@ pub fn report(opts: &Options, dataset: &Dataset) {
     let tables: Vec<(Granularity, GroupTable)> = [Granularity::District, Granularity::City]
         .into_iter()
         .map(|grain| {
-            let pipeline = PipelineBuilder::new(g)
-                .via_yahoo_xml(opts.via_yahoo_xml)
-                .backend(opts.backend)
-                .faults(opts.faults)
-                .threads(opts.threads)
+            let pipeline = pipeline_builder(g, opts)
                 .granularity(grain)
                 .build()
-                .expect("experiment options form a valid pipeline config");
+                .expect("options are validated at parse");
             let profiles = dataset.users.iter().map(|u| ProfileRow {
                 user: u.id.0,
                 location_text: u.location_text.clone(),

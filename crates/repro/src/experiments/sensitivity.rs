@@ -12,13 +12,13 @@
 use std::collections::HashMap;
 
 use stir_core::{
-    group_user_strings_with, GroupTable, LocationString, PipelineBuilder, PipelineInput,
-    ProfileRow, TieBreak, TopKGroup, TweetRow,
+    group_user_strings_with, GroupTable, LocationString, PipelineInput, ProfileRow, TieBreak,
+    TopKGroup, TweetRow,
 };
 use stir_geokr::ReverseGeocoder;
 use stir_twitter_sim::datasets::{Dataset, DatasetSpec};
 
-use crate::context::{analyse, gazetteer, korean_spec, Analysed, Options};
+use crate::context::{analyse, gazetteer, korean_spec, pipeline, Analysed, Options};
 
 /// Runs both sensitivity analyses.
 pub fn run(opts: &Options) {
@@ -115,10 +115,7 @@ fn gps_adoption_sweep(opts: &Options) {
             ..korean_spec(opts)
         };
         let dataset = Dataset::generate(spec, g, opts.seed);
-        let pipeline = PipelineBuilder::new(g)
-            .threads(opts.threads)
-            .build()
-            .expect("experiment options form a valid pipeline config");
+        let pipeline = pipeline(g, opts);
         let result = pipeline.execute(
             dataset.users.iter().map(|u| ProfileRow {
                 user: u.id.0,

@@ -4,10 +4,10 @@
 //! of users. Table II: the same strings merged, counted, ordered, with the
 //! matched string and its rank marked.
 
-use stir_core::{group_user_strings, LocationString, PipelineBuilder, ProfileRow};
+use stir_core::{group_user_strings, LocationString, ProfileRow};
 use stir_geokr::ReverseGeocoder;
 
-use crate::context::{gazetteer, korean_spec, Options};
+use crate::context::{gazetteer, korean_spec, pipeline, Options};
 use stir_twitter_sim::datasets::Dataset;
 
 /// Builds a few users' worth of location strings from the simulator.
@@ -19,13 +19,7 @@ fn sample_strings(opts: &Options, max_users: usize) -> Vec<Vec<LocationString>> 
         s
     };
     let dataset = Dataset::generate(spec, g, opts.seed);
-    let pipeline = PipelineBuilder::new(g)
-        .via_yahoo_xml(opts.via_yahoo_xml)
-        .backend(opts.backend)
-        .faults(opts.faults)
-        .threads(opts.threads)
-        .build()
-        .expect("experiment options form a valid pipeline config");
+    let pipeline = pipeline(g, opts);
     // Classify profiles, then walk users until we have enough with several
     // GPS tweets.
     let mut funnel = Default::default();

@@ -3,9 +3,9 @@
 //! ```text
 //! repro <experiment> [--seed N] [--scale F] [--paper-scale] [--threads N]
 //!                    [--threads-exact] [--backend gazetteer|yahoo|resilient]
-//!                    [--faults SPEC] [--from-store] [--shards N]
-//!                    [--store-format v1|v2] [--sketches on|off] [--staged]
-//!                    [--verbose]
+//!                    [--faults SPEC] [--via-yahoo-xml] [--from-store] [--shards N]
+//!                    [--store-format v1|v2] [--sketches on|off] [--restore-midway]
+//!                    [--out DIR] [--verbose]
 //!
 //! experiments:
 //!   table1    Table I   example location strings
@@ -33,7 +33,9 @@
 //! ```
 //!
 //! Default scale is 1/10 of the paper (5,220 users); `--paper-scale` runs
-//! the full 52,200. Everything is deterministic in `--seed`.
+//! the full 52,200. Everything is deterministic in `--seed`. Invalid
+//! options — a non-positive scale, `--threads 0`, a fault plan without an
+//! endpoint backend — exit 2 with a usage error before any work starts.
 
 mod context;
 mod experiments;
@@ -87,6 +89,7 @@ fn parse(args: &[String]) -> Result<(String, Options, PathBuf), String> {
     let mut opts = Options::default();
     let mut out_dir = PathBuf::from("repro-out");
     let mut cmd = None;
+    let mut via_yahoo_xml = false;
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -103,6 +106,12 @@ fn parse(args: &[String]) -> Result<(String, Options, PathBuf), String> {
                     .ok_or("--scale needs a value")?
                     .parse()
                     .map_err(|_| "--scale must be a number")?;
+                if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                    return Err(format!(
+                        "--scale must be a positive number, got {}",
+                        opts.scale
+                    ));
+                }
             }
             "--paper-scale" => opts.scale = 1.0,
             "--threads" => {
@@ -113,7 +122,7 @@ fn parse(args: &[String]) -> Result<(String, Options, PathBuf), String> {
                     .map_err(|_| "--threads must be an integer")?;
             }
             "--threads-exact" => opts.threads_exact = true,
-            "--via-yahoo-xml" => opts.via_yahoo_xml = true,
+            "--via-yahoo-xml" => via_yahoo_xml = true,
             "--backend" => {
                 opts.backend = it
                     .next()
@@ -145,7 +154,6 @@ fn parse(args: &[String]) -> Result<(String, Options, PathBuf), String> {
                 opts.store_format = stir_tweetstore::StoreFormat::parse(spec)
                     .ok_or_else(|| format!("--store-format must be v1 or v2, got {spec:?}"))?;
             }
-            "--staged" => opts.staged = true,
             "--sketches" => {
                 let spec = it.next().ok_or("--sketches needs a value (on or off)")?;
                 opts.sketches = match spec.as_str() {
@@ -167,6 +175,15 @@ fn parse(args: &[String]) -> Result<(String, Options, PathBuf), String> {
             }
         }
     }
+    // `--via-yahoo-xml` is the older spelling of `--backend yahoo`; an
+    // explicit non-default backend wins.
+    if via_yahoo_xml && opts.backend == stir_core::BackendChoice::Gazetteer {
+        opts.backend = stir_core::BackendChoice::Yahoo;
+    }
+    // The pipeline builder owns the rules for a valid configuration.
+    context::pipeline_builder(context::gazetteer(), &opts)
+        .build_config()
+        .map_err(|e| format!("invalid pipeline options: {e}"))?;
     Ok((cmd.unwrap_or_else(|| "help".to_string()), opts, out_dir))
 }
 
@@ -176,12 +193,14 @@ fn print_help() {
          usage: repro <experiment> [--seed N] [--scale F] [--paper-scale] [--threads N]\n\
          \x20                        [--threads-exact] [--backend gazetteer|yahoo|resilient]\n\
          \x20                        [--faults SPEC] [--via-yahoo-xml] [--from-store] [--shards N]\n\
-         \x20                        [--store-format v1|v2] [--sketches on|off] [--staged] [--verbose]\n\n\
+         \x20                        [--store-format v1|v2] [--sketches on|off] [--restore-midway]\n\
+         \x20                        [--out DIR] [--verbose]\n\n\
          --threads is a ceiling: the scheduler caps it at the machine's cores and falls\n\
          back to serial when a warmup sample shows workers time-slicing; --threads-exact\n\
          makes it a command again (bench escape hatch);\n\
-         --backend selects the geocoding service (default gazetteer); --faults injects a\n\
-         seeded fault schedule at the yahoo endpoint, e.g. drop:0.1,delay:0.05@250,malformed:0.01,seed:42\n\
+         --backend selects the geocoding service (default gazetteer; --via-yahoo-xml is\n\
+         another spelling of --backend yahoo); --faults injects a seeded fault schedule\n\
+         at the yahoo endpoint, e.g. drop:0.1,delay:0.05@250,malformed:0.01,seed:42\n\
          (the resilient backend rides faults out without changing any figure output);\n\
          --from-store routes tweets through a TweetStore and the zero-copy header scan\n\
          instead of feeding rows directly (figure output is byte-identical either way);\n\
@@ -192,8 +211,6 @@ fn print_help() {
          --sketches on (with --from-store) materializes a group sketch per sealed segment\n\
          and answers the grouping from the sketch delta merge plus an open-tail scan\n\
          instead of scanning every record — again byte-identical, only faster;\n\
-         --staged runs the staged reference pipeline instead of the fused morsel-driven\n\
-         engine (again byte-identical — the flag exists to prove it);\n\
          --restore-midway (stream only) checkpoints the durable session halfway through\n\
          the firehose, drops it, and resumes from disk — output stays byte-identical\n\n\
          experiments: table1 table2 fig3 fig4 fig5 funnel fig6 fig7 tweets compare eventloc ablation regional export detect nonegroup diurnal report sensitivity stream all"
@@ -214,7 +231,7 @@ mod tests {
         assert_eq!(cmd, "fig7");
         assert_eq!(opts.seed, 2012);
         assert!((opts.scale - 0.1).abs() < 1e-12);
-        assert!(!opts.via_yahoo_xml);
+        assert_eq!(opts.backend, stir_core::BackendChoice::Gazetteer);
         assert_eq!(out, PathBuf::from("repro-out"));
     }
 
@@ -239,7 +256,7 @@ mod tests {
         assert_eq!(opts.seed, 7);
         assert!((opts.scale - 0.5).abs() < 1e-12);
         assert_eq!(opts.threads, 2);
-        assert!(opts.via_yahoo_xml);
+        assert_eq!(opts.backend, stir_core::BackendChoice::Yahoo);
         assert!(opts.from_store);
         assert!(opts.verbose);
         assert_eq!(out, PathBuf::from("/tmp/x"));
@@ -335,15 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_staged_defaults_off() {
-        let (_, opts, _) = parse(&args(&["fig7"])).unwrap();
-        assert!(!opts.staged);
-        let (_, opts, _) = parse(&args(&["fig7", "--staged", "--from-store"])).unwrap();
-        assert!(opts.staged);
-        assert!(opts.from_store);
-    }
-
-    #[test]
     fn parse_restore_midway_defaults_off() {
         let (_, opts, _) = parse(&args(&["stream"])).unwrap();
         assert!(!opts.restore_midway);
@@ -373,6 +381,63 @@ mod tests {
         assert!(parse(&args(&["--seed", "abc"])).is_err());
         assert!(parse(&args(&["--bogus-flag"])).is_err());
         assert!(parse(&args(&["fig7", "extra"])).is_err());
+    }
+
+    #[test]
+    fn parse_via_yahoo_xml_upgrades_only_the_default_backend() {
+        use stir_core::BackendChoice;
+        let (_, opts, _) = parse(&args(&["fig7", "--via-yahoo-xml"])).unwrap();
+        assert_eq!(opts.backend, BackendChoice::Yahoo);
+        let (_, opts, _) = parse(&args(&[
+            "fig7",
+            "--via-yahoo-xml",
+            "--backend",
+            "resilient",
+        ]))
+        .unwrap();
+        assert_eq!(opts.backend, BackendChoice::Resilient);
+        // The upgrade happens before validation, so faults aimed at the
+        // XML endpoint are accepted.
+        let (_, opts, _) =
+            parse(&args(&["fig7", "--faults", "drop:0.1", "--via-yahoo-xml"])).unwrap();
+        assert_eq!(opts.backend, BackendChoice::Yahoo);
+    }
+
+    #[test]
+    fn parse_rejects_invalid_pipeline_options() {
+        for bad in [
+            &["fig7", "--threads", "0"][..],
+            &["fig7", "--faults", "drop:0.1"],
+            &["fig7", "--backend", "gazetteer", "--faults", "drop:0.1"],
+        ] {
+            let err = parse(&args(bad)).unwrap_err();
+            assert!(
+                err.starts_with("invalid pipeline options: "),
+                "{bad:?}: {err}"
+            );
+        }
+        assert!(parse(&args(&[
+            "fig7",
+            "--backend",
+            "resilient",
+            "--faults",
+            "drop:0.1"
+        ]))
+        .is_ok());
+        assert!(parse(&args(&["fig7", "--threads", "1"])).is_ok());
+    }
+
+    #[test]
+    fn parse_rejects_non_positive_or_non_finite_scale() {
+        for bad in ["-1", "0", "nan", "inf", "-inf"] {
+            let err = parse(&args(&["fig7", "--scale", bad])).unwrap_err();
+            assert!(
+                err.starts_with("--scale must be a positive number"),
+                "{bad}: {err}"
+            );
+        }
+        let (_, opts, _) = parse(&args(&["fig7", "--scale", "0.05"])).unwrap();
+        assert!((opts.scale - 0.05).abs() < 1e-12);
     }
 
     #[test]

@@ -131,21 +131,6 @@ fn verbose_prints_stage_metrics() {
             "missing {marker:?} in stderr:\n{stderr}"
         );
     }
-    // The staged reference path renders no fused-engine section.
-    let (_, stderr, code) = run(&[
-        "funnel",
-        "--scale",
-        "0.02",
-        "--seed",
-        "1",
-        "--verbose",
-        "--staged",
-    ]);
-    assert_eq!(code, Some(0), "stderr:\n{stderr}");
-    assert!(
-        !stderr.contains("fused exec:"),
-        "staged run rendered the fused section:\n{stderr}"
-    );
     // Without --verbose the timing block stays out of both streams, keeping
     // stdout deterministic and stderr limited to progress lines.
     let (stdout, stderr, code) = run(&["funnel", "--scale", "0.02", "--seed", "1"]);
@@ -281,15 +266,10 @@ fn store_backed_run_is_byte_identical_to_row_based() {
 fn sharded_store_run_is_byte_identical_to_single_store() {
     // PR-8 acceptance bar: splitting the store into user-hash shards and
     // running the scatter-gather scan (`--from-store --shards N`) must
-    // not move a byte of figure output — fused or staged — relative to
-    // the single-store run.
+    // not move a byte of figure output relative to the single-store run.
     let single = run(&["fig7", "--scale", "0.05", "--seed", "2012", "--from-store"]);
     assert_eq!(single.2, Some(0), "stderr:\n{}", single.1);
-    for extra in [
-        &["--shards", "8"][..],
-        &["--shards", "3"][..],
-        &["--shards", "8", "--staged"][..],
-    ] {
+    for extra in [&["--shards", "8"][..], &["--shards", "3"][..]] {
         let mut args = vec!["fig7", "--scale", "0.05", "--seed", "2012", "--from-store"];
         args.extend_from_slice(extra);
         let sharded = run(&args);
@@ -315,50 +295,49 @@ fn sharded_store_run_is_byte_identical_to_single_store() {
 }
 
 #[test]
-fn fused_engine_is_byte_identical_to_the_staged_reference() {
-    // The fused morsel engine's acceptance bar: the staged reference
-    // pipeline (--staged, row-fed) pins the output, and the fused engine
-    // must reproduce it byte-for-byte — row-fed, store-fed, and store-fed
-    // staged, at both ends of the thread range.
-    let reference = run(&[
-        "fig7",
-        "--scale",
-        "0.05",
-        "--seed",
-        "2012",
-        "--staged",
-        "--threads",
-        "1",
-    ]);
-    assert_eq!(reference.2, Some(0), "stderr:\n{}", reference.1);
-    let table2_ref = run(&[
-        "table2",
-        "--scale",
-        "0.05",
-        "--seed",
-        "2012",
-        "--staged",
-        "--threads",
-        "1",
-    ]);
-    assert_eq!(table2_ref.2, Some(0), "stderr:\n{}", table2_ref.1);
+fn fig7_matches_the_recorded_golden() {
+    // `repro_fig7_scale05.txt` was recorded when a second, staged engine
+    // still existed and both engines printed it byte for byte; the one
+    // engine left must keep printing it, row-fed and store-fed, at both
+    // ends of the thread range.
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../repro_fig7_scale05.txt"
+    ))
+    .expect("read the recorded golden");
     for extra in [
         &[][..],
-        &["--from-store"][..],
-        &["--from-store", "--staged"][..],
         &["--threads", "1"][..],
+        &["--from-store"][..],
         &["--from-store", "--threads", "1"][..],
     ] {
         let mut args = vec!["fig7", "--scale", "0.05", "--seed", "2012"];
         args.extend_from_slice(extra);
         let fig7 = run(&args);
         assert_eq!(fig7.2, Some(0), "stderr:\n{}", fig7.1);
-        assert_eq!(reference.0, fig7.0, "fig7 drifted with {extra:?}");
-        let mut args = vec!["table2", "--scale", "0.05", "--seed", "2012"];
-        args.extend_from_slice(extra);
-        let table2 = run(&args);
-        assert_eq!(table2.2, Some(0), "stderr:\n{}", table2.1);
-        assert_eq!(table2_ref.0, table2.0, "table2 drifted with {extra:?}");
+        assert_eq!(
+            golden, fig7.0,
+            "fig7 drifted from the golden with {extra:?}"
+        );
+    }
+}
+
+#[test]
+fn invalid_pipeline_options_are_usage_errors() {
+    // Options the pipeline builder rejects, and scales that cannot size a
+    // corpus, exit 2 with a usage error before any work — never a panic,
+    // never an empty figure.
+    for bad in [
+        &["fig7", "--threads", "0"][..],
+        &["fig7", "--faults", "drop:0.1"],
+        &["fig7", "--scale", "-1"],
+        &["fig7", "--scale", "nan"],
+    ] {
+        let (stdout, stderr, code) = run(bad);
+        assert_eq!(code, Some(2), "{bad:?} stderr:\n{stderr}");
+        assert!(stderr.contains("error: "), "{bad:?} stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{bad:?} stderr:\n{stderr}");
+        assert!(stdout.is_empty(), "{bad:?} printed:\n{stdout}");
     }
 }
 

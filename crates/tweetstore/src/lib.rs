@@ -26,7 +26,7 @@
 //! * [`scan`] — the pruned, parallel, zero-copy scan engine behind
 //!   [`Query::for_each`] and [`Query::scan_filtered`], with [`ScanMetrics`]
 //!   reporting pruning and decode volume.
-//! * [`compact`] — predicate compaction (the paper's GPS-only filter as a
+//! * [`compact`](mod@compact) — predicate compaction (the paper's GPS-only filter as a
 //!   storage operation); survivors are copied as raw frames, re-verified
 //!   by checksum, never re-encoded.
 //! * [`persist`] — directory-based save/load with manifest and checksums;

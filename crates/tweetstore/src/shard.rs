@@ -33,7 +33,7 @@
 //!   [`ShardedStore::finish_compaction`]) detaches a cold shard's frames
 //!   (picked by zone-map recency + reclaimable-estimate,
 //!   [`ShardedStore::pick_cold_shard`]), rewrites them off-thread with the
-//!   zero-copy [`crate::compact`] raw-frame moves, and swaps the result
+//!   zero-copy [`crate::compact`](mod@crate::compact) raw-frame moves, and swaps the result
 //!   back in — ingest into the other shards (and even into the shard being
 //!   compacted) never blocks.
 

@@ -1,7 +1,7 @@
 //! Ground-truth event injection for the event-detection experiments.
 //!
 //! Models the Toretter observation process (Sakaki et al., the paper's
-//! ref [3]): an event with a known epicenter occurs at a known time; users
+//! ref \[3\]): an event with a known epicenter occurs at a known time; users
 //! near it become "social sensors" and tweet the event term within minutes.
 //! Each report carries either the sensor's GPS position (when their client
 //! tags it) or nothing — in which case a downstream estimator must fall back

@@ -7,24 +7,10 @@
 //! store-block morsel source and scan-metrics fill moved into
 //! `stir_core::pipeline`). This module keeps the store-specific
 //! composition that has no core equivalent — pre-compacting to GPS
-//! records before the run (what a production deployment would keep hot) —
-//! plus a deprecated shim for the old free-function entry point.
+//! records before the run (what a production deployment would keep hot).
 
 use stir_core::{AnalysisResult, CollectionFunnel, ProfileRow, RefinementPipeline};
 use stir_tweetstore::{gps_only, CompactionReport, TweetStore};
-
-/// Runs the full pipeline with tweets streamed out of `store`.
-#[deprecated(note = "use `pipeline.execute(profiles, store)` — the store is a pipeline input now")]
-pub fn run_from_store<PI>(
-    pipeline: &RefinementPipeline<'_>,
-    profiles: PI,
-    store: &TweetStore,
-) -> AnalysisResult
-where
-    PI: IntoIterator<Item = ProfileRow>,
-{
-    pipeline.execute(profiles, store)
-}
 
 /// Compacts the store to GPS-only records, then runs the pipeline on the
 /// compacted store. The funnel's tweet totals are patched to reflect the
@@ -51,9 +37,13 @@ where
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use stir_core::{PipelineBuilder, TweetRow};
+    use stir_core::TweetRow;
     use stir_geokr::Gazetteer;
     use stir_tweetstore::TweetRecord;
     use stir_twitter_sim::datasets::{Dataset, DatasetSpec};
@@ -115,11 +105,6 @@ mod tests {
             assert_eq!(a.user, b.user);
             assert_eq!(a.matched_rank, b.matched_rank);
         }
-        // The deprecated free function keeps forwarding to the same run.
-        #[allow(deprecated)]
-        let via_shim = run_from_store(&pipeline, profile_rows(&dataset), &store);
-        assert_eq!(via_shim.funnel, via_store.funnel);
-        assert_eq!(via_shim.users.len(), via_store.users.len());
     }
 
     #[test]
@@ -153,29 +138,32 @@ mod tests {
     }
 
     #[test]
-    fn fused_store_run_is_identical_to_staged_store_run() {
+    fn fused_store_run_is_identical_to_string_oracle() {
         let (g, dataset, store) = fixtures();
-        let fused = RefinementPipeline::with_defaults(g);
-        assert!(fused.config().is_fused(), "fused engine is the default");
-        let staged = PipelineBuilder::new(g).staged().build().unwrap();
-        let a = fused.execute(profile_rows(&dataset), &store);
-        let b = staged.execute(profile_rows(&dataset), &store);
+        let pipeline = RefinementPipeline::with_defaults(g);
+        let a = pipeline.execute(profile_rows(&dataset), &store);
+        let rows: Vec<TweetRow> = store
+            .scan_views()
+            .map(|v| {
+                let h = v.expect("fresh store decodes").header;
+                TweetRow {
+                    user: h.user,
+                    tweet_id: h.id,
+                    gps: h.gps,
+                }
+            })
+            .collect();
+        let b = common::string_oracle(g, profile_rows(&dataset), &rows);
         assert_eq!(a.funnel, b.funnel);
-        assert_eq!(a.users.len(), b.users.len());
-        for (x, y) in a.users.iter().zip(&b.users) {
-            assert_eq!(x.user, y.user);
-            assert_eq!(x.entries, y.entries);
-            assert_eq!(x.matched_rank, y.matched_rank);
-        }
-        // The fused store run reports the engine detail and a scan whose
-        // decode count matches the store exactly.
-        let exec = a.metrics.exec.as_ref().expect("fused runs fill exec");
+        assert_eq!(a.users, b.users);
+        assert_eq!(a.kept_profiles, b.kept_profiles);
+        // The store run reports the engine detail and a scan whose decode
+        // count matches the store exactly.
+        let exec = a.metrics.exec.as_ref().expect("store runs fill exec");
         assert_eq!(exec.rows_in, store.stats().records);
         assert_eq!(exec.kept_probes, a.funnel.tweets_with_gps);
         let scan = a.metrics.scan.as_ref().expect("store runs fill scan");
         assert_eq!(scan.headers_decoded, store.stats().records);
-        // Staged store runs leave the exec slot empty.
-        assert!(b.metrics.exec.is_none());
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Property tests pinning the fused morsel engine to the staged reference
-//! pipeline: for arbitrary corpora and arbitrary execution geometry
-//! (threads × morsel size × partition count) the two paths must be
-//! byte-identical — same funnel, same grouped users, same entries, same
-//! matched ranks — including when tweets stream out of a WAL-recovered
-//! store with a torn tail.
+//! Property tests pinning the fused morsel engine to the paper-literal
+//! §III-B string oracle (`common::string_oracle`): for arbitrary corpora
+//! and arbitrary execution geometry (threads × morsel size × partition
+//! count) the engine must be byte-identical to it — same funnel, same
+//! grouped users, same entries, same matched ranks — including when
+//! tweets stream out of a WAL-recovered store with a torn tail.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use common::{string_oracle, Oracle};
 use proptest::prelude::*;
 use stir::core::{AnalysisResult, PipelineBuilder, ProfileRow, TweetRow};
 use stir::geokr::Gazetteer;
@@ -65,7 +68,7 @@ fn corpus(rows: &[(u64, usize)]) -> (Vec<ProfileRow>, Vec<TweetRow>) {
     (profiles, tweets)
 }
 
-fn assert_identical(a: &AnalysisResult, b: &AnalysisResult) -> Result<(), proptest::TestCaseError> {
+fn assert_identical(a: &AnalysisResult, b: &Oracle) -> Result<(), proptest::TestCaseError> {
     prop_assert_eq!(&a.funnel, &b.funnel);
     prop_assert_eq!(a.users.len(), b.users.len());
     for (x, y) in a.users.iter().zip(&b.users) {
@@ -86,7 +89,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn fused_equals_staged_on_arbitrary_corpora(
+    fn fused_equals_string_oracle_on_arbitrary_corpora(
         rows in prop::collection::vec((0u64..10, 0usize..4), 1..250),
         threads_idx in 0usize..3,
         morsel_idx in 0usize..3,
@@ -95,9 +98,7 @@ proptest! {
     ) {
         let g = gaz();
         let (profiles, tweets) = corpus(&rows);
-        let staged = PipelineBuilder::new(g).staged().threads(1).build().unwrap();
-        let reference = staged.execute(profiles.clone(), tweets.clone());
-        prop_assert!(reference.metrics.exec.is_none());
+        let reference = string_oracle(g, profiles.clone(), &tweets);
         // `exact` sweeps the adaptive scheduler on and off: byte-identity
         // must hold whether the engine obeys the configured geometry or
         // adapts it to the machine (possibly collapsing to serial-inline).
@@ -164,9 +165,8 @@ proptest! {
         // Every synced frame survives; only the torn tail is dropped.
         prop_assert_eq!(recovered, tweets.len() as u64);
 
-        // Fused from-store run ≡ staged row-fed run on the same corpus.
-        let staged = PipelineBuilder::new(g).staged().threads(1).build().unwrap();
-        let reference = staged.execute(profiles.clone(), tweets);
+        // Fused from-store run ≡ the string oracle on the same corpus.
+        let reference = string_oracle(g, profiles.clone(), &tweets);
         let fused = PipelineBuilder::new(g)
             .threads(THREADS[threads_idx])
             .threads_exact(exact)
@@ -215,8 +215,7 @@ proptest! {
             mixed.append(r);
         }
 
-        let staged = PipelineBuilder::new(g).staged().threads(1).build().unwrap();
-        let reference = staged.execute(profiles.clone(), tweets);
+        let reference = string_oracle(g, profiles.clone(), &tweets);
         let fused = PipelineBuilder::new(g)
             .threads(THREADS[threads_idx])
             .threads_exact(exact)
@@ -240,6 +239,75 @@ proptest! {
                 prop_assert!(scan.col_bytes_read > 0);
             } else {
                 prop_assert_eq!(scan.col_bytes_read, 0);
+            }
+        }
+    }
+}
+
+/// A small mixed corpus: kept users, a dropped user, GPS-less rows, and an
+/// out-of-coverage fix — every funnel branch exercised.
+fn mixed_corpus() -> (Vec<ProfileRow>, Vec<TweetRow>) {
+    const YANGCHEON: (f64, f64) = (37.517, 126.866);
+    const GANGNAM: (f64, f64) = (37.517, 127.047);
+    let profiles = [
+        "Seoul Yangcheon-gu",
+        "my home",
+        "Seoul",
+        "Seoul Gangnam-gu",
+        "Gyeonggi-do Uiwang-si",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, text)| ProfileRow {
+        user: 1 + i as u64,
+        location_text: text.to_string(),
+    })
+    .collect();
+    let tweets = (0..40u64)
+        .map(|i| {
+            let user = 1 + i % 5;
+            match i % 4 {
+                0 => TweetRow::tagged(user, i, YANGCHEON.0, YANGCHEON.1),
+                1 => TweetRow::tagged(user, i, GANGNAM.0, GANGNAM.1),
+                2 => TweetRow::plain(user, i),
+                // Tokyo: GPS present, outside coverage → unresolvable.
+                _ => TweetRow::tagged(user, i, 35.68, 139.69),
+            }
+        })
+        .collect();
+    (profiles, tweets)
+}
+
+/// The full geometry grid on one fixed corpus, with the engine's own
+/// accounting checked against the configured geometry at every cell.
+#[test]
+fn fused_engine_is_byte_identical_to_string_oracle() {
+    let g = gaz();
+    let (profiles, tweets) = mixed_corpus();
+    let reference = string_oracle(g, profiles.clone(), &tweets);
+    for threads in [1, 2, 8] {
+        for morsel_rows in [1, 7, 4096] {
+            for partitions in [1, 3, 16] {
+                let pipeline = PipelineBuilder::new(g)
+                    .threads(threads)
+                    .morsel_rows(morsel_rows)
+                    .partitions(partitions)
+                    .build()
+                    .unwrap();
+                let got = pipeline.execute(profiles.clone(), tweets.clone());
+                assert_identical(&got, &reference).unwrap();
+                let exec = got.metrics.exec.as_ref().expect("engine fills exec");
+                assert_eq!(exec.morsel_rows, morsel_rows);
+                assert_eq!(exec.partitions_configured, partitions);
+                assert_eq!(exec.threads_ceiling, threads);
+                // Executed geometry never exceeds the configured one.
+                assert!(exec.threads <= threads);
+                assert!(exec.partitions <= partitions);
+                assert_eq!(exec.rows_in, got.funnel.tweets_total);
+                assert_eq!(
+                    exec.partition_keys.iter().sum::<u64>(),
+                    got.funnel.strings_built
+                );
             }
         }
     }
